@@ -86,9 +86,17 @@ class ExperimentConfig:
         check(0 < self.train_fraction < 1, "train_fraction", "must lie in (0, 1)")
         check(self.mode in MODES, "mode", f"must be one of {MODES}")
         total = self.num_classes * self.per_class
-        check(self.devices * self.batch_size <= total, "devices",
-              "too many devices for the dataset size")
+        check(self.devices * self.min_shard <= total, "devices",
+              f"{self.devices} devices need {self.devices * self.min_shard} "
+              f"samples (at least {self.min_shard} each), but "
+              f"num_classes * per_class = {total}")
         return self
+
+    @property
+    def min_shard(self):
+        """Smallest device shard the partition hands out: two batches, and
+        at least 4 samples."""
+        return max(2 * self.batch_size, 4)
 
     # component toggles implied by the mode
     @property

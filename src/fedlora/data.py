@@ -1,7 +1,6 @@
 """Synthetic multi-class blob datasets and Dirichlet non-IID partitioning
 into per-device shards with stratified train/test splits."""
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,34 +58,6 @@ def generate(num_classes, per_class, dim, class_sep, rng):
         labels[lo:lo + per_class] = c
     perm = rng.permutation(len(labels))
     return Dataset(feats[perm], labels[perm], num_classes)
-
-
-# --- dataset fixture format: magic, version, dims, row-major float64 ---
-
-_MAGIC = b"FLDS"
-_VERSION = 1
-
-
-def save_dataset(ds, path):
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<HIII", _VERSION, len(ds), ds.features.shape[1],
-                            ds.num_classes))
-        f.write(np.ascontiguousarray(ds.features, dtype=np.float64).tobytes())
-        f.write(np.ascontiguousarray(ds.labels, dtype=np.int64).tobytes())
-
-
-def load_dataset(path):
-    with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise ValueError("bad dataset magic")
-        version, n, dim, num_classes = struct.unpack("<HIII", f.read(14))
-        if version != _VERSION:
-            raise ValueError(f"unsupported dataset version {version}")
-        feats = np.frombuffer(f.read(8 * n * dim),
-                              dtype=np.float64).reshape(n, dim).copy()
-        labels = np.frombuffer(f.read(8 * n), dtype=np.int64).copy()
-    return Dataset(feats, labels, num_classes)
 
 
 def dirichlet_partition(ds, cfg):

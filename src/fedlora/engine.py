@@ -48,7 +48,6 @@ class DeviceState:
 class ServerState:
     gal: gal_mod.GalDecision
     gal_params: dict             # layer index -> (a, b)
-    round: int = 0
 
 
 @dataclass
@@ -71,38 +70,45 @@ def make_batches(n, batch_size):
 
 def build_devices(cfg):
     """Dataset generation, Dirichlet sharding, and identically-initialized
-    per-device networks."""
+    per-device networks: clones of one base network that share its frozen
+    weights and copy its adapters."""
     ds = generate(cfg.num_classes, cfg.per_class, cfg.dim, cfg.class_sep,
                   make_rng(cfg.seed, 0xDA))
     shards = dirichlet_partition(ds, PartitionConfig(
         concentration=cfg.dirichlet_alpha, num_devices=cfg.devices,
-        train_fraction=cfg.train_fraction,
-        min_shard=max(2 * cfg.batch_size, 4), seed=cfg.seed))
+        train_fraction=cfg.train_fraction, min_shard=cfg.min_shard,
+        seed=cfg.seed))
+    base = build_network(cfg.dim, cfg.hidden_dims, cfg.num_classes,
+                         rank=cfg.lora_rank, seed=cfg.seed)
     devices = []
     for k, shard in enumerate(shards):
         train, test = split(shard, cfg.train_fraction, make_rng(cfg.seed, 0x57, k))
-        net = build_network(cfg.dim, cfg.hidden_dims, cfg.num_classes,
-                            rank=cfg.lora_rank, seed=cfg.seed)
-        dev = DeviceState(k=k, net=net, train=train, test=test)
+        dev = DeviceState(k=k, net=clone_network(base), train=train, test=test)
         dev.batches = make_batches(len(train), cfg.batch_size)
         dev.batch_order = list(range(len(dev.batches)))
         devices.append(dev)
     return devices
 
 
-def _train_epoch(dev, cfg, batch_ids, mask=None):
+def _backward(dev, idx, phase, mask=None):
+    """`backward` over the device's training rows `idx`; a non-finite loss or
+    gradient raises ArithmeticError naming the device and the phase."""
+    g = backward(dev.net, dev.train.features[idx], dev.train.labels[idx],
+                 mask=mask)
+    if not all(np.isfinite(v).all() for v in [g.loss, *g.da, *g.db]):
+        raise ArithmeticError(
+            f"non-finite loss or gradient on device {dev.k}, {phase}")
+    return g
+
+
+def _train_epoch(dev, cfg, batch_ids, phase, mask=None):
     """One pass of per-batch summed-gradient SGD; returns the mean loss."""
     losses = []
     for j in batch_ids:
-        idx = dev.batches[j]
-        grads = []
-        for i in idx:
-            g = backward(dev.net, dev.train.features[i], int(dev.train.labels[i]))
-            grads.append(g)
-        losses.extend(gr.loss for gr in grads)
-        for g in grads:
-            apply_update(dev.net, g, cfg.lr, mask=mask)
-    return float(np.mean(losses)) if losses else math.nan
+        g = _backward(dev, dev.batches[j], phase, mask=mask)
+        apply_update(dev.net, g, cfg.lr)
+        losses.append(g.loss)
+    return float(np.mean(np.concatenate(losses)))
 
 
 def _device_loss_grad(net_proto, xs, ys):
@@ -127,31 +133,34 @@ def _spectrum_rank(hessian, lipschitz):
     return r, nonzero.size
 
 
-def device_init_analysis(dev, cfg):
+def device_init_analysis(dev, cfg, fim_rows):
     """Warmup training plus the Hessian/Lipschitz eigengap analysis.
 
     Runs the momentum-FIM window and warmup epochs, then computes the
     whole-model finite-difference Hessian at the post-warmup point and the
     Lipschitz constant of the lossless-rule base function around the warmup
     displacement. Layer-block ranks reuse the Hessian's diagonal blocks.
+    `fim_rows` are the Fisher row sums at the initial point, which serve as
+    the momentum window's first epoch.
     """
-    xs = [dev.train.features[i] for i in range(dev.n_k)]
-    ys = [int(dev.train.labels[i]) for i in range(dev.n_k)]
     p0 = flatten_lora(dev.net)
 
     fim = None
     for epoch in range(max(cfg.warmup_epochs, cfg.momentum_epochs)):
+        phase = f"warmup epoch {epoch}"
         if epoch < cfg.momentum_epochs:
-            fresh = fisher.average_fim(
-                [fisher.sample_fim_diag(dev.net, x, y) for x, y in zip(xs, ys)])
-            fim = fresh if fim is None else fisher.momentum_update(fim, fresh, cfg.gamma_m)
+            if epoch > 0:
+                fim_rows = _backward(dev, np.arange(dev.n_k), phase).fim_rows
+            fim = fisher.momentum_update(fim, fisher.mean_row_fim(fim_rows),
+                                         cfg.gamma_m)
         if epoch < cfg.warmup_epochs:
-            _train_epoch(dev, cfg, range(len(dev.batches)))
+            _train_epoch(dev, cfg, range(len(dev.batches)), phase)
     dev.momentum_fim = fim
 
     p_t = flatten_lora(dev.net)
     sub = min(cfg.hessian_samples, dev.n_k)
-    grad_fn = _device_loss_grad(dev.net, xs[:sub], ys[:sub])
+    grad_fn = _device_loss_grad(dev.net, dev.train.features[:sub],
+                                dev.train.labels[:sub])
     hessian = finite_diff_hessian(grad_fn, p_t)
 
     delta = p0 - p_t
@@ -185,28 +194,22 @@ def init_phase(devices, cfg):
             raise ValueError(f"device {dev.k} has no local data")
 
     num_layers = len(devices[0].net.layers)
-
-    if cfg.curriculum_on:
-        for dev in devices:
-            scores = []
-            for j, idx in enumerate(dev.batches):
-                per_sample = [
-                    fisher.sample_score(fisher.sample_fim_diag(
-                        dev.net, dev.train.features[i], int(dev.train.labels[i])))
-                    for i in idx]
-                scores.append(fisher.BatchScore(j, fisher.batch_score(per_sample)))
-            dev.batch_order = curriculum.sort_batches(scores)
-
     need_analysis = cfg.gal_on or cfg.mask_on
+    noise_cfg = gal_mod.NoiseConfig(cfg.noise_budget, cfg.p_norm)
     layer_scores = []
-    if need_analysis:
-        noise_cfg = gal_mod.NoiseConfig(cfg.noise_budget, cfg.p_norm)
-        for dev in devices:
-            xs = [dev.train.features[i] for i in range(dev.n_k)]
-            ys = [int(dev.train.labels[i]) for i in range(dev.n_k)]
-            layer_scores.append((dev.n_k,
-                                 gal_mod.device_layer_scores(dev.net, xs, ys, noise_cfg)))
-            device_init_analysis(dev, cfg)
+    for dev in devices if cfg.curriculum_on or need_analysis else []:
+        # Fisher row sums at the initial point: batch difficulty (the sum of
+        # each sample's FIM trace) and the first epoch of the momentum FIM
+        fim_rows = _backward(dev, np.arange(dev.n_k), "warmup epoch 0").fim_rows
+        if cfg.curriculum_on:
+            difficulty = sum(rows.sum(axis=1) for rows in fim_rows)
+            dev.batch_order = curriculum.sort_batches(
+                [fisher.BatchScore(j, fisher.batch_score(difficulty[idx]))
+                 for j, idx in enumerate(dev.batches)])
+        if need_analysis:
+            layer_scores.append((dev.n_k, gal_mod.device_layer_scores(
+                dev.net, dev.train.features, dev.train.labels, noise_cfg)))
+            device_init_analysis(dev, cfg, fim_rows)
 
     if cfg.gal_on:
         global_scores = gal_mod.aggregate_layer_scores(layer_scores)
@@ -239,18 +242,14 @@ def init_phase(devices, cfg):
             None if li in gal_layers else (l.a.copy(), l.b.copy())
             for li, l in enumerate(dev.net.layers)]
 
-    total_n = sum(dev.n_k for dev in devices)
-    gal_params = {}
-    for li in sorted(gal_layers):
-        a = np.zeros_like(devices[0].net.layers[li].a)
-        b = np.zeros_like(devices[0].net.layers[li].b)
-        for dev in devices:
-            w = dev.n_k / total_n
-            a += w * dev.net.layers[li].a
-            b += w * dev.net.layers[li].b
-        gal_params[li] = (a, b)
-
-    return ServerState(gal=decision, gal_params=gal_params), devices
+    # the initial GAL parameters: the weighted mean over every device
+    server = ServerState(gal=decision, gal_params={
+        li: (l.a, l.b) for li, l in enumerate(devices[0].net.layers)
+        if li in gal_layers})
+    fedavg_gal(server, [(dev.n_k, {li: (l.a, l.b) for li, l
+                                   in enumerate(dev.net.layers)})
+                        for dev in devices])
+    return server, devices
 
 
 def sample_devices(num_devices, count, rng):
@@ -276,12 +275,8 @@ def local_round(dev, gal_params, t, cfg):
         selected = list(range(len(dev.batches)))
 
     mask = dev.mask.per_layer if dev.mask is not None else None
-    losses = []
-    for _ in range(cfg.local_iterations):
-        loss = _train_epoch(dev, cfg, selected, mask=mask)
-        if not math.isfinite(loss):
-            raise ArithmeticError(f"non-finite loss on device {dev.k}, round {t}")
-        losses.append(loss)
+    losses = [_train_epoch(dev, cfg, selected, f"round {t}", mask=mask)
+              for _ in range(cfg.local_iterations)]
 
     update = {li: (dev.net.layers[li].a.copy(), dev.net.layers[li].b.copy())
               for li in gal_params}
@@ -325,28 +320,25 @@ def comm_bytes(payload_params, sampled):
     return per_direction, per_direction
 
 
-def _accuracy(net, test):
-    hits = sum(int(np.argmax(forward(net, test.features[i]).logits)) == test.labels[i]
-               for i in range(len(test)))
-    return hits / len(test)
+def _hits(net, test, params):
+    logits = forward(net, test.features, params=params).logits
+    return int(np.count_nonzero(np.argmax(logits, axis=1) == test.labels))
 
 
 def evaluate(server, devices):
-    """(personalized weighted accuracy, server-view weighted accuracy)."""
+    """(personalized weighted accuracy, server-view weighted accuracy).
+
+    The personalized view runs each device's network with the server's GAL
+    parameters; the server view also restores the non-GAL layers to their
+    post-init snapshot."""
     total = sum(len(dev.test) for dev in devices)
-    acc = 0.0
-    view = 0.0
+    acc = 0
+    view = 0
     for dev in devices:
-        probe = clone_network(dev.net)
-        for li, (a, b) in server.gal_params.items():
-            probe.layers[li].a = a.copy()
-            probe.layers[li].b = b.copy()
-        acc += len(dev.test) * _accuracy(probe, dev.test)
-        for li, snap in enumerate(dev.local_snapshot):
-            if snap is not None:
-                probe.layers[li].a = snap[0].copy()
-                probe.layers[li].b = snap[1].copy()
-        view += len(dev.test) * _accuracy(probe, dev.test)
+        acc += _hits(dev.net, dev.test, server.gal_params)
+        snapshot = {li: snap for li, snap in enumerate(dev.local_snapshot)
+                    if snap is not None}
+        view += _hits(dev.net, dev.test, server.gal_params | snapshot)
     return acc / total, view / total
 
 
@@ -372,7 +364,6 @@ def run(cfg):
             updates.append((devices[k].n_k, update))
             losses.append(loss)
         fedavg_gal(server, updates)
-        server.round = t + 1
         down, up = comm_bytes(payload, len(sampled))
         acc, view = evaluate(server, devices)
         reports.append(RoundReport(

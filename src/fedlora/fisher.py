@@ -1,24 +1,27 @@
-"""Diagonal Fisher information per sample, difficulty scores, momentum
+"""Diagonal Fisher information: per-sample difficulty scores, momentum
 smoothing, and neuron-wise importance aggregation.
 
-The diagonal is taken over the reconstructed full-rank direction of each
-layer: the gradient of the loss w.r.t. the effective weight delta B.A, laid
-out row-major like the layer's base weight matrix. Entry j is the square of
-gradient component j.
+The diagonal is taken over each layer's effective weight W + B.A, laid out
+row-major like the base weight. One sample's gradient there is delta x^T
+(pre-activation loss gradient times layer input), so the diagonal has row
+sums delta_i^2 ||x||^2 (`network.Gradients.fim_rows`) and trace
+||delta||^2 ||x||^2. The engine works from those row sums only; the full
+diagonal of `sample_fim_diag` is the reference they are tested against.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import backward
+from .network import LoraNetwork, backward, forward
 
 
 @dataclass
 class FimDiag:
-    """Per-layer diagonal FIM entries in row-major full-weight layout."""
-    per_layer: list          # one flat vector of length d_out*d_in per layer
-    layer_shapes: list       # (d_out, d_in) per layer
+    """Per-layer diagonal FIM entries in row-major layout: the full diagonal
+    with shape (d_out, d_in), or its row sums with shape (d_out, 1)."""
+    per_layer: list          # one flat vector of d_out * columns per layer
+    layer_shapes: list       # (d_out, columns) per layer
 
     def total(self):
         return float(sum(v.sum() for v in self.per_layer))
@@ -31,17 +34,33 @@ class BatchScore:
 
 
 def sample_fim_diag(net, s, label):
-    """Squared per-entry gradient of log-likelihood in full-weight layout."""
-    g = backward(net, s, label)
-    per_layer = []
-    shapes = []
-    for delta, x_in in zip(g.delta, g.x_in):
-        grad_w = np.outer(delta, x_in)  # dL/d(B.A) for this layer
-        if not np.all(np.isfinite(grad_w)):
-            raise ArithmeticError("non-finite gradient while scoring sample")
-        per_layer.append((grad_w ** 2).ravel())
-        shapes.append(grad_w.shape)
-    return FimDiag(per_layer=per_layer, layer_shapes=shapes)
+    """Squared per-entry gradient of one sample's loss in full-weight layout.
+
+    Each layer's delta is taken from the input gradient of the network above
+    that layer (or from the softmax at the top), not from the closed forms,
+    so that this can serve as their reference.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    trace = forward(net, s, label)
+    inputs = [s] + trace.hidden[:-1]
+    grads = []  # dL/d(W + B.A) per layer
+    for li, layer in enumerate(net.layers):
+        if li == len(net.layers) - 1:
+            delta = trace.probs - np.eye(net.num_classes)[label]
+        else:
+            above = LoraNetwork(net.layers[li + 1:], net.num_classes)
+            delta = backward(above, trace.hidden[li], label).d_input
+        if layer.activation == "relu":
+            delta = delta * (trace.hidden[li] > 0)
+        grads.append(np.outer(delta, inputs[li]))
+    return FimDiag([(g ** 2).ravel() for g in grads], [g.shape for g in grads])
+
+
+def mean_row_fim(fim_rows):
+    """Empirical device FIM in row-sum form: the mean over samples of each
+    layer's per-sample row sums in `Gradients.fim_rows`."""
+    return FimDiag([rows.mean(axis=0) for rows in fim_rows],
+                   [(rows.shape[1], 1) for rows in fim_rows])
 
 
 def sample_score(fd):

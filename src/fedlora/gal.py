@@ -35,7 +35,8 @@ class GalDecision:
 
 
 def adversarial_noise(net, s, label, cfg):
-    """Worst-case input perturbation of p-norm size `noise_budget`.
+    """Worst-case input perturbation of p-norm size `noise_budget`, for one
+    sample or for each row of a sample matrix.
 
     Closed form of the linearized dual problem:
     eps = budget * sign(g)|g|^(q-1) / (||g||_q^q)^(1/p), which reduces to
@@ -44,43 +45,38 @@ def adversarial_noise(net, s, label, cfg):
     """
     g = backward(net, s, label).d_input
     q = cfg.q_norm
-    gq = float(np.sum(np.abs(g) ** q))
-    if gq == 0.0:
-        return np.zeros_like(g), True
-    eps = cfg.noise_budget * np.sign(g) * np.abs(g) ** (q - 1.0) / gq ** (1.0 / cfg.p_norm)
-    return eps, False
+    gq = np.sum(np.abs(g) ** q, axis=-1, keepdims=True)
+    degenerate = gq == 0.0
+    eps = (cfg.noise_budget * np.sign(g) * np.abs(g) ** (q - 1.0)
+           / np.where(degenerate, 1.0, gq) ** (1.0 / cfg.p_norm))
+    return eps, degenerate[..., 0]
 
 
 def layer_relative_diff(net, s, eps):
-    """Relative change of every layer's hidden-state norm under perturbation.
+    """Relative change of every layer's hidden-state norm under perturbation,
+    for one sample or for each row of a sample matrix.
 
     A layer whose clean hidden state has zero norm reports 0 for that layer
     (degenerate, flagged). Returns (per-layer diffs, degenerate_flag).
     """
-    clean = forward(net, s).hidden
-    noisy = forward(net, np.asarray(s, dtype=np.float64) + eps).hidden
-    diffs = np.zeros(len(clean))
-    degenerate = False
-    for li, (hc, hn) in enumerate(zip(clean, noisy)):
-        base = np.linalg.norm(hc)
-        if base == 0.0:
-            degenerate = True
-            continue
-        diffs[li] = (np.linalg.norm(hn) - base) / base
-    return diffs, degenerate
+    s = np.asarray(s, dtype=np.float64)
+    clean = np.stack([np.linalg.norm(h, axis=-1)
+                      for h in forward(net, s).hidden], axis=-1)
+    noisy = np.stack([np.linalg.norm(h, axis=-1)
+                      for h in forward(net, s + eps).hidden], axis=-1)
+    zero = clean == 0.0
+    diffs = np.where(zero, 0.0, (noisy - clean) / np.where(zero, 1.0, clean))
+    return diffs, zero.any(axis=-1)
 
 
 def device_layer_scores(net, samples, labels, cfg):
     """Mean per-layer sensitivity over a device's local data, with the noise
-    recomputed per sample."""
+    computed per sample."""
     if len(samples) == 0:
         raise ValueError("device has no local data to score")
-    acc = None
-    for s, m in zip(samples, labels):
-        eps, _ = adversarial_noise(net, s, m, cfg)
-        diffs, _ = layer_relative_diff(net, s, eps)
-        acc = diffs if acc is None else acc + diffs
-    return acc / len(samples)
+    eps, _ = adversarial_noise(net, samples, labels, cfg)
+    diffs, _ = layer_relative_diff(net, samples, eps)
+    return diffs.mean(axis=0)
 
 
 def aggregate_layer_scores(per_device):

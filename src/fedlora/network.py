@@ -1,14 +1,16 @@
 """Small feed-forward classifier with frozen base weights and trainable
 low-rank adapter pairs per layer.
 
-Forward/backward are fully analytic (softmax cross-entropy head), including
-the gradient with respect to the input vector, which the layer-sensitivity
-noise generation needs. Per-layer hidden activations are captured on every
-forward pass.
+`forward` and `backward` run one pass over a matrix with one sample per
+row (a 1-D sample is the n = 1 case, with its 1-D shapes). Both are fully
+analytic (softmax cross-entropy head), including the input gradient the
+layer-sensitivity noise generation needs. `backward` sums the adapter
+gradients over the rows, applies a neuron mask in closed form and returns
+each sample's diagonal-Fisher row sums, so no caller needs per-sample
+gradients.
 """
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,26 +74,24 @@ class LoraNetwork:
 class ForwardTrace:
     hidden: list          # post-activation output per layer
     logits: np.ndarray
-    loss: float | None = None
+    loss: np.ndarray | None = None  # per sample
     probs: np.ndarray | None = None
 
 
 @dataclass
 class Gradients:
-    """Per-layer adapter gradients for one (sample, label) pair.
+    """Adapter gradients of the cross-entropy loss, summed over the samples.
 
-    `delta` is the pre-activation loss gradient and `x_in` the layer input;
-    together with `a_row_contrib` (row mu = b[mu] * delta[mu], captured at
-    backward time) they allow neuron-masked reconstruction of dA without
-    re-running backprop.
+    `fim_rows[l]` holds each sample's squared gradient w.r.t. layer l's
+    effective weight W + B.A, summed over every output row: delta_i^2 ||x||^2
+    for the pre-activation loss gradient delta and the layer input x.
+    `fim_rows`, `d_input` and `loss` are per sample.
     """
     da: list
     db: list
-    delta: list
-    x_in: list
-    a_row_contrib: list
-    d_input: np.ndarray = field(default=None)
-    loss: float = field(default=None)
+    fim_rows: list
+    d_input: np.ndarray
+    loss: np.ndarray
 
 
 def build_network(input_dim, hidden_dims, num_classes, rank=2, seed=0):
@@ -119,90 +119,79 @@ def clone_network(net):
     return LoraNetwork(layers, net.num_classes)
 
 
-def _softmax(z):
-    z = z - np.max(z)
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def forward(net, x, label=None):
+def forward(net, x, labels=None, params=None):
+    """Hidden states and logits of one sample or of a matrix with one sample
+    per row; with `labels`, also the per-sample loss and softmax. `params`
+    optionally maps a layer index to an (a, b) pair used in place of that
+    layer's own adapter."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.input_dim,):
-        raise ValueError(f"input shape {x.shape} != ({net.input_dim},)")
+    if x.ndim not in (1, 2) or x.shape[-1] != net.input_dim:
+        raise ValueError(f"input shape {x.shape} does not end in ({net.input_dim},)")
     hidden = []
     h = x
-    for layer in net.layers:
-        z = layer.w_base @ h + layer.b @ (layer.a @ h) + layer.bias
+    for li, layer in enumerate(net.layers):
+        a, b = params.get(li, (layer.a, layer.b)) if params else (layer.a, layer.b)
+        z = h @ layer.w_base.T + (h @ a.T) @ b.T + layer.bias
         h = np.maximum(z, 0.0) if layer.activation == "relu" else z
         hidden.append(h)
-    logits = hidden[-1]
-    trace = ForwardTrace(hidden=hidden, logits=logits)
-    if label is not None:
-        m = np.max(logits)
-        lse = m + np.log(np.sum(np.exp(logits - m)))
-        trace.loss = float(lse - logits[label])
-        trace.probs = _softmax(logits)
+    trace = ForwardTrace(hidden=hidden, logits=h)
+    if labels is not None:
+        m = np.max(h, axis=-1, keepdims=True)
+        e = np.exp(h - m)
+        s = e.sum(axis=-1, keepdims=True)
+        picked = np.take_along_axis(h, np.asarray(labels)[..., None], axis=-1)
+        trace.loss = (m + np.log(s) - picked)[..., 0]
+        trace.probs = e / s
     return trace
 
 
-def backward(net, x, label):
-    """Analytic gradients of the cross-entropy loss w.r.t. every A, B and the
-    input x. Frozen parameters get no gradient slots."""
+def backward(net, x, labels, mask=None):
+    """Analytic cross-entropy gradients w.r.t. every A, B and the input, for
+    one sample or a matrix with one sample per row; dA and dB are summed over
+    the rows. Frozen parameters get no gradient slots.
+
+    `mask` (optional) holds one boolean vector over output neurons per layer,
+    or None for a fully trainable layer. A masked-out neuron's entry of delta
+    is zeroed before that layer's dA and dB are formed: its row of dB is zero
+    and it has no path into dA. Earlier layers and the input see the
+    unmasked delta.
+    """
     x = np.asarray(x, dtype=np.float64)
-    trace = forward(net, x, label)
+    trace = forward(net, x, labels)
     inputs = [x] + trace.hidden[:-1]
+    delta = trace.probs - (np.arange(net.num_classes) ==
+                           np.asarray(labels)[..., None])
 
-    delta = trace.probs.copy()
-    delta[label] -= 1.0
-
-    g = Gradients(da=[None] * len(net.layers), db=[None] * len(net.layers),
-                  delta=[None] * len(net.layers), x_in=[None] * len(net.layers),
-                  a_row_contrib=[None] * len(net.layers), loss=trace.loss)
-    for li in range(len(net.layers) - 1, -1, -1):
+    n_layers = len(net.layers)
+    g = Gradients(da=[None] * n_layers, db=[None] * n_layers,
+                  fim_rows=[None] * n_layers, d_input=None, loss=trace.loss)
+    for li in range(n_layers - 1, -1, -1):
         layer = net.layers[li]
-        x_in = inputs[li]
         if layer.activation == "relu":
             delta = delta * (trace.hidden[li] > 0)
-        ax = layer.a @ x_in
-        g.db[li] = np.outer(delta, ax)
-        g.da[li] = np.outer(layer.b.T @ delta, x_in)
-        g.delta[li] = delta
-        g.x_in[li] = x_in
-        g.a_row_contrib[li] = layer.b * delta[:, None]
-        delta = (layer.w_base + layer.b @ layer.a).T @ delta
+        g.fim_rows[li] = delta ** 2 * np.sum(inputs[li] ** 2, axis=-1,
+                                             keepdims=True)
+        kept = delta
+        if mask is not None and mask[li] is not None:
+            m = np.asarray(mask[li], dtype=bool)
+            if m.shape != (layer.d_out,):
+                raise ValueError(f"mask shape {m.shape} != ({layer.d_out},)")
+            kept = np.where(m, delta, 0.0)
+        kept, x_in = np.atleast_2d(kept, inputs[li])  # a 1-D sample is n = 1
+        g.db[li] = kept.T @ (x_in @ layer.a.T)
+        g.da[li] = (kept @ layer.b).T @ x_in
+        delta = delta @ (layer.w_base + layer.b @ layer.a)
     g.d_input = delta
     return g
 
 
-def apply_update(net, g, lr, mask=None):
-    """SGD step on the adapter pairs.
-
-    `mask` (optional) holds one boolean vector over output neurons per layer,
-    or None for fully-trainable layers. A masked-out neuron freezes its row
-    of B and removes its gradient path into dA; with an all-false mask the
-    layer is bitwise untouched.
-    """
+def apply_update(net, g, lr):
+    """SGD step on the adapter pairs: A -= lr * dA, B -= lr * dB."""
     if lr < 0:
         raise ValueError("learning rate must be non-negative")
-    for li, layer in enumerate(net.layers):
-        m = None if mask is None else mask[li]
-        if m is None:
-            layer.a -= lr * g.da[li]
-            layer.b -= lr * g.db[li]
-            continue
-        m = np.asarray(m, dtype=bool)
-        if m.shape != (layer.d_out,):
-            raise ValueError(f"mask shape {m.shape} != ({layer.d_out},)")
-        if not m.any():
-            continue
-        coeff = g.a_row_contrib[li][m].sum(axis=0)
-        layer.a -= lr * np.outer(coeff, g.x_in[li])
-        layer.b[m] -= lr * g.db[li][m]
-
-
-def full_rank_delta(a_t, b_t, a_prev, b_prev):
-    """Reconstructed full-rank update of the effective weight delta B.A."""
-    return b_t @ a_t - b_prev @ a_prev
+    for layer, da, db in zip(net.layers, g.da, g.db):
+        layer.a -= lr * da
+        layer.b -= lr * db
 
 
 # --- flat adapter vector view (Hessian / Lipschitz machinery) ---
@@ -220,9 +209,13 @@ def lora_slices(net):
     return slices
 
 
+def _flat(pairs):
+    return np.concatenate([np.concatenate([a.ravel(), b.ravel()])
+                           for a, b in pairs])
+
+
 def flatten_lora(net):
-    return np.concatenate([np.concatenate([l.a.ravel(), l.b.ravel()])
-                           for l in net.layers])
+    return _flat((l.a, l.b) for l in net.layers)
 
 
 def set_lora_flat(net, vec):
@@ -232,59 +225,7 @@ def set_lora_flat(net, vec):
         layer.b = vec[sb].reshape(layer.b.shape).copy()
 
 
-def dataset_loss(net, xs, ys):
-    return sum(forward(net, x, y).loss for x, y in zip(xs, ys)) / len(xs)
-
-
 def dataset_loss_grad_flat(net, xs, ys):
     """Mean cross-entropy gradient over (xs, ys), flattened adapter layout."""
-    acc = np.zeros(sum(l.a.size + l.b.size for l in net.layers))
-    slices = lora_slices(net)
-    for x, y in zip(xs, ys):
-        g = backward(net, x, y)
-        for li, (sa, sb) in enumerate(slices):
-            acc[sa] += g.da[li].ravel()
-            acc[sb] += g.db[li].ravel()
-    return acc / len(xs)
-
-
-# --- checkpoint fixture format: magic, version, dims, row-major float64 ---
-
-_MAGIC = b"FLNC"
-_VERSION = 1
-_ACT_CODE = {"relu": 0, "identity": 1}
-_ACT_NAME = {v: k for k, v in _ACT_CODE.items()}
-
-
-def save_network(net, path):
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<HHI", _VERSION, len(net.layers), net.num_classes))
-        for l in net.layers:
-            f.write(struct.pack("<IIIB", l.d_out, l.d_in, l.rank,
-                                _ACT_CODE[l.activation]))
-            for arr in (l.w_base, l.a, l.b, l.bias):
-                f.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-
-
-def load_network(path):
-    with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise ValueError("bad checkpoint magic")
-        version, n_layers, num_classes = struct.unpack("<HHI", f.read(8))
-        if version != _VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        layers = []
-        for _ in range(n_layers):
-            d_out, d_in, r, act = struct.unpack("<IIIB", f.read(13))
-
-            def block(shape):
-                n = int(np.prod(shape))
-                return np.frombuffer(f.read(8 * n), dtype=np.float64).reshape(shape).copy()
-
-            w = block((d_out, d_in))
-            a = block((r, d_in))
-            b = block((d_out, r))
-            bias = block((d_out,))
-            layers.append(LoraLayer(w, a, b, bias, _ACT_NAME[act]))
-    return LoraNetwork(layers, num_classes)
+    g = backward(net, xs, ys)
+    return _flat(zip(g.da, g.db)) / len(ys)

@@ -182,6 +182,26 @@ class TestMainEntryPoint:
         assert main(["run", str(cfg_path), "--mode", "no-curriculum",
                      "--out", str(out)]) == 0
 
+    def test_too_many_devices_for_the_partition_exits_one(self, tmp_path,
+                                                          capsys):
+        # 200 devices * max(2 * batch_size, 4) = 3200 > 2000 samples
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("devices: 200\n")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert "devices" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mode, where", [
+        ("fibecfed", "device 0, warmup epoch 0"),
+        ("fedavg-lora", "device 4, round 0")])
+    def test_diverging_run_exits_two_naming_device_and_phase(
+            self, tmp_path, capsys, mode, where):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(f"lr: 5\nmode: {mode}\n")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"non-finite loss or gradient on {where}" in err
+
     def test_compare_with_missing_file_exits_two(self, tmp_path):
         assert main(["compare", str(tmp_path / "x.csv"),
                      str(tmp_path / "y.csv")]) == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedlora.data import (Dataset, PartitionConfig, dirichlet_partition,
-                          generate, load_dataset, save_dataset, split)
+                          generate, split)
 from fedlora.linalg import make_rng
 
 
@@ -155,20 +155,3 @@ class TestSplit:
         tr, te = split(ds, 0.99, make_rng(0))
         assert len(te) >= 1
         assert len(tr) >= 1
-
-
-class TestDatasetFixtureFormat:
-    def test_roundtrip(self, tmp_path):
-        ds = generate(3, 7, 5, 2.0, make_rng(12))
-        path = tmp_path / "ds.bin"
-        save_dataset(ds, path)
-        loaded = load_dataset(path)
-        assert loaded.num_classes == 3
-        assert np.array_equal(loaded.features, ds.features)
-        assert np.array_equal(loaded.labels, ds.labels)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"XXXX" + b"\x00" * 20)
-        with pytest.raises(ValueError):
-            load_dataset(path)

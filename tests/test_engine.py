@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fedlora.config import ExperimentConfig
+from fedlora.config import ConfigError, ExperimentConfig
 from fedlora.engine import (ServerState, build_devices, comm_bytes, evaluate,
                             fedavg_gal, gal_payload_params, init_phase,
                             local_round, make_batches, run, sample_devices)
 from fedlora.gal import GalDecision
 from fedlora.linalg import make_rng
-from fedlora.network import apply_update, backward
+from fedlora.network import apply_update, backward, build_network
 
 
 def small_cfg(**overrides):
@@ -29,6 +29,39 @@ class TestMakeBatches:
     def test_short_tail_is_its_own_batch(self):
         batches = make_batches(10, 4)
         assert [len(b) for b in batches] == [4, 4, 2]
+
+
+class TestBuildDevices:
+    def test_devices_share_frozen_weights_but_not_adapters(self):
+        cfg = small_cfg()
+        devices = build_devices(cfg)
+        first, second = devices[0].net.layers[0], devices[1].net.layers[0]
+        assert first.w_base is second.w_base
+        b_before = second.b.copy()
+        a_before = second.a.copy()
+        first.a += 1.0
+        first.b += 1.0
+        assert np.array_equal(second.a, a_before)
+        assert np.array_equal(second.b, b_before)
+        assert not first.w_base.flags.writeable
+
+    def test_every_device_starts_from_the_same_fresh_network(self):
+        cfg = small_cfg()
+        fresh = build_network(cfg.dim, cfg.hidden_dims, cfg.num_classes,
+                              rank=cfg.lora_rank, seed=cfg.seed)
+        for dev in build_devices(cfg):
+            for mine, ref in zip(dev.net.layers, fresh.layers):
+                for name in ("w_base", "a", "b", "bias"):
+                    assert getattr(mine, name).tobytes() == \
+                        getattr(ref, name).tobytes()
+
+    def test_partition_minimum_is_the_validated_one(self):
+        # 125 devices * max(2 * 8, 4) = 2000 samples: the most that validate
+        cfg = ExperimentConfig(devices=125).validate()
+        assert min(len(d.train) + len(d.test)
+                   for d in build_devices(cfg)) == cfg.min_shard
+        with pytest.raises(ConfigError, match="devices"):
+            ExperimentConfig(devices=126).validate()
 
 
 class TestSampleDevices:
@@ -226,10 +259,8 @@ def reference_fedavg(cfg):
                 dev.net.layers[li].b = b.copy()
             for _ in range(cfg.local_iterations):
                 for idx in dev.batches:
-                    grads = [backward(dev.net, dev.train.features[i],
-                                      int(dev.train.labels[i])) for i in idx]
-                    for g in grads:
-                        apply_update(dev.net, g, cfg.lr)
+                    apply_update(dev.net, backward(dev.net, dev.train.features[idx],
+                                                   dev.train.labels[idx]), cfg.lr)
             updates.append((dev.n_k, {li: (dev.net.layers[li].a.copy(),
                                            dev.net.layers[li].b.copy())
                                       for li in range(num_layers)}))

@@ -3,9 +3,9 @@ import pytest
 
 from conftest import random_small_net
 from fedlora.fisher import (BatchScore, FimDiag, average_fim, batch_score,
-                            momentum_update, neuron_scores, sample_fim_diag,
-                            sample_score)
-from fedlora.network import backward
+                            mean_row_fim, momentum_update, neuron_scores,
+                            sample_fim_diag, sample_score)
+from fedlora.network import backward, forward
 
 
 def make_fd(vectors, shapes):
@@ -15,13 +15,21 @@ def make_fd(vectors, shapes):
 
 class TestSampleFimDiag:
     def test_entries_are_squared_full_weight_gradients(self, rng):
-        net, x, label = random_small_net(rng)
-        fd = sample_fim_diag(net, x, label)
-        g = backward(net, x, label)
-        for li in range(len(net.layers)):
-            grad_w = np.outer(g.delta[li], g.x_in[li])
-            assert np.array_equal(fd.per_layer[li], (grad_w ** 2).ravel())
-            assert fd.layer_shapes[li] == grad_w.shape
+        # one sample's full-weight gradient is the outer product delta x^T,
+        # so its squared entries are delta_i^2 x_j^2 = fim_rows_i x_j^2/||x||^2
+        for _ in range(10):
+            net, x, label = random_small_net(rng)
+            fd = sample_fim_diag(net, x, label)
+            g = backward(net, x, label)
+            inputs = [x] + forward(net, x).hidden[:-1]
+            for li, x_in in enumerate(inputs):
+                if not x_in.any():  # dead layer input: no gradient
+                    assert not fd.per_layer[li].any()
+                    continue
+                want = np.outer(g.fim_rows[li], x_in ** 2 / (x_in @ x_in))
+                assert fd.layer_shapes[li] == want.shape
+                assert np.allclose(fd.per_layer[li], want.ravel(),
+                                   rtol=1e-12, atol=1e-300)
 
     def test_nonnegative_and_finite(self, rng):
         net, x, label = random_small_net(rng)
@@ -31,12 +39,35 @@ class TestSampleFimDiag:
             assert np.all(np.isfinite(v))
 
     def test_trace_equals_squared_gradient_norm(self, rng):
-        net, x, label = random_small_net(rng)
-        fd = sample_fim_diag(net, x, label)
-        g = backward(net, x, label)
-        norm_sq = sum(float(np.sum(np.outer(g.delta[li], g.x_in[li]) ** 2))
-                      for li in range(len(net.layers)))
-        assert abs(fd.total() - norm_sq) < 1e-10
+        # closed form: trace = sum over layers of ||delta||^2 ||x||^2
+        for _ in range(10):
+            net, x, label = random_small_net(rng)
+            fd = sample_fim_diag(net, x, label)
+            g = backward(net, x, label)
+            closed = float(sum(rows.sum() for rows in g.fim_rows))
+            assert abs(fd.total() - closed) <= 1e-12 * fd.total()
+
+    def test_closed_form_row_sums_match_per_sample(self, rng):
+        for _ in range(10):
+            net, _, _ = random_small_net(rng)
+            xs = rng.normal(size=(6, net.input_dim))
+            ys = rng.integers(0, net.num_classes, size=6)
+            g = backward(net, xs, ys)
+            traces = sum(rows.sum(axis=1) for rows in g.fim_rows)
+            for i, (x, y) in enumerate(zip(xs, ys)):
+                fd = sample_fim_diag(net, x, int(y))
+                for li in range(len(net.layers)):
+                    want = neuron_scores(fd, li)
+                    assert np.allclose(g.fim_rows[li][i], want, rtol=1e-12,
+                                       atol=1e-300)
+                assert abs(traces[i] - fd.total()) <= 1e-12 * fd.total()
+            device = mean_row_fim(g.fim_rows)
+            full = average_fim([sample_fim_diag(net, x, int(y))
+                                for x, y in zip(xs, ys)])
+            for li in range(len(net.layers)):
+                assert np.allclose(neuron_scores(device, li),
+                                   neuron_scores(full, li), rtol=1e-12,
+                                   atol=1e-300)
 
 
 class TestSampleScore:

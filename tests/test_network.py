@@ -6,9 +6,9 @@ import pytest
 from conftest import flat_loss_fn, random_small_net, single_identity_layer_net
 from fedlora.linalg import finite_diff_gradient, make_rng
 from fedlora.network import (LoraLayer, LoraNetwork, apply_update, backward,
-                             build_network, clone_network, flatten_lora,
-                             forward, full_rank_delta, load_network,
-                             lora_slices, save_network, set_lora_flat)
+                             build_network, clone_network,
+                             dataset_loss_grad_flat, flatten_lora, forward,
+                             lora_slices, set_lora_flat)
 
 
 def frozen_digest(net):
@@ -103,14 +103,72 @@ class TestBackward:
         assert backward(net, x, label).loss == forward(net, x, label).loss
 
 
+class TestBatched:
+    def sample_batch(self, rng, n=7):
+        net, _, _ = random_small_net(rng)
+        xs = rng.normal(size=(n, net.input_dim))
+        ys = rng.integers(0, net.num_classes, size=n)
+        return net, xs, ys
+
+    def test_backward_equals_sum_of_single_sample_calls(self, rng):
+        for _ in range(5):
+            net, xs, ys = self.sample_batch(rng)
+            mask = [rng.random(l.d_out) < 0.5 for l in net.layers]
+            for m in (None, mask):
+                batched = backward(net, xs, ys, mask=m)
+                singles = [backward(net, x, int(y), mask=m)
+                           for x, y in zip(xs, ys)]
+                for li in range(len(net.layers)):
+                    for name in ("da", "db"):
+                        want = sum(getattr(g, name)[li] for g in singles)
+                        assert np.allclose(getattr(batched, name)[li], want,
+                                           rtol=1e-12, atol=1e-12)
+                    for i, g in enumerate(singles):
+                        assert np.allclose(batched.fim_rows[li][i],
+                                           g.fim_rows[li], rtol=1e-12, atol=0)
+                for i, g in enumerate(singles):
+                    assert abs(batched.loss[i] - g.loss) <= 1e-12
+                    assert np.allclose(batched.d_input[i], g.d_input,
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_forward_rows_match_single_sample_calls(self, rng):
+        net, xs, ys = self.sample_batch(rng)
+        batched = forward(net, xs, ys)
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            single = forward(net, x, int(y))
+            assert np.allclose(batched.logits[i], single.logits, rtol=1e-12,
+                               atol=1e-12)
+            assert abs(batched.loss[i] - single.loss) <= 1e-12
+
+    def test_one_row_matrix_keeps_matrix_shapes(self, rng):
+        net, x, label = random_small_net(rng)
+        g = backward(net, x[None, :], [label])
+        assert g.d_input.shape == (1, net.input_dim)
+        assert g.loss.shape == (1,)
+        assert np.array_equal(g.d_input[0], backward(net, x, label).d_input)
+
+    def test_dataset_gradient_is_the_mean(self, rng):
+        net, xs, ys = self.sample_batch(rng)
+        g = backward(net, xs, ys)
+        want = np.concatenate([np.concatenate([da.ravel(), db.ravel()])
+                               for da, db in zip(g.da, g.db)]) / len(ys)
+        assert np.array_equal(dataset_loss_grad_flat(net, xs, ys), want)
+
+    def test_params_override_replaces_the_adapter(self, rng):
+        net, x, _ = random_small_net(rng)
+        other = clone_network(net)
+        other.layers[0].a = rng.normal(size=other.layers[0].a.shape)
+        got = forward(net, x, params={0: (other.layers[0].a, other.layers[0].b)})
+        assert np.array_equal(got.logits, forward(other, x).logits)
+
+
 class TestApplyUpdate:
     def test_all_false_mask_leaves_network_bitwise_unchanged(self, rng):
         net, x, label = random_small_net(rng)
-        g = backward(net, x, label)
-        before = flatten_lora(net).copy()
         mask = [np.zeros(l.d_out, dtype=bool) for l in net.layers]
-        apply_update(net, g, 0.1, mask=mask)
-        assert np.array_equal(flatten_lora(net), before)
+        before = flatten_lora(net).copy()
+        apply_update(net, backward(net, x, label, mask=mask), 0.1)
+        assert flatten_lora(net).tobytes() == before.tobytes()
 
     def test_unmasked_step_is_plain_sgd(self, rng):
         net, x, label = random_small_net(rng)
@@ -123,31 +181,39 @@ class TestApplyUpdate:
             assert np.array_equal(layer.b, b0[i] - g.db[i])
 
     def test_masked_out_rows_of_b_frozen(self, rng):
-        net, x, label = random_small_net(rng)
-        g = backward(net, x, label)
-        mask = [None] * len(net.layers)
-        d_out = net.layers[0].d_out
-        m = np.zeros(d_out, dtype=bool)
-        m[0] = True
-        mask[0] = m
-        b_before = net.layers[0].b.copy()
-        apply_update(net, g, 0.5, mask=mask)
-        assert np.array_equal(net.layers[0].b[~m], b_before[~m])
-        assert not np.array_equal(net.layers[0].b[m], b_before[m]) or \
-            np.allclose(g.db[0][m], 0.0)
+        for _ in range(10):
+            net, _, _ = random_small_net(rng)
+            xs = rng.normal(size=(5, net.input_dim))
+            ys = rng.integers(0, net.num_classes, size=5)
+            mask = [rng.random(l.d_out) < 0.5 for l in net.layers]
+            before = [l.b.copy() for l in net.layers]
+            unmasked = backward(net, xs, ys)
+            apply_update(net, backward(net, xs, ys, mask=mask), 0.5)
+            for li, (layer, m) in enumerate(zip(net.layers, mask)):
+                assert layer.b[~m].tobytes() == before[li][~m].tobytes()
+                assert np.allclose(layer.b[m], before[li][m] - 0.5 * unmasked.db[li][m],
+                                   rtol=1e-12, atol=1e-15)
 
     def test_masked_da_uses_only_masked_in_rows(self, rng):
-        net, x, label = random_small_net(rng)
-        g = backward(net, x, label)
-        li = 0
-        d_out = net.layers[li].d_out
-        m = np.ones(d_out, dtype=bool)
-        mask = [None] * len(net.layers)
-        mask[li] = m
-        # full mask reproduces the unmasked dA: sum over all rows of the
-        # per-row contributions collapses back to B^T delta x^T
-        expect = np.outer(g.a_row_contrib[li].sum(axis=0), g.x_in[li])
-        assert np.allclose(expect, g.da[li], atol=1e-12)
+        for _ in range(10):
+            net, x, label = random_small_net(rng)
+            top = len(net.layers) - 1
+            layer = net.layers[top]
+            m = rng.random(layer.d_out) < 0.5
+            mask = [None] * top + [m]
+            # oracle: dA = sum over kept neurons mu of b[mu] * delta[mu] x^T,
+            # with the top layer's delta = softmax - one-hot
+            delta = forward(net, x, label).probs - np.eye(net.num_classes)[label]
+            x_in = forward(net, x).hidden[top - 1]
+            want = np.outer(layer.b[m].T @ delta[m], x_in)
+            g = backward(net, x, label, mask=mask)
+            assert np.allclose(g.da[top], want, rtol=1e-12, atol=1e-14)
+            # layers below see the unmasked delta; a full mask changes nothing
+            unmasked = backward(net, x, label)
+            assert np.array_equal(g.da[0], unmasked.da[0])
+            full = [np.ones(l.d_out, dtype=bool) for l in net.layers]
+            assert np.array_equal(backward(net, x, label, mask=full).da[top],
+                                  unmasked.da[top])
 
     def test_lr_zero_is_a_noop_and_negative_rejected(self, rng):
         net, x, label = random_small_net(rng)
@@ -167,31 +233,10 @@ class TestApplyUpdate:
 
     def test_mask_shape_mismatch_rejected(self, rng):
         net, x, label = random_small_net(rng)
-        g = backward(net, x, label)
         mask = [np.ones(net.layers[0].d_out + 1, dtype=bool)] + \
             [None] * (len(net.layers) - 1)
         with pytest.raises(ValueError):
-            apply_update(net, g, 0.1, mask=mask)
-
-
-class TestFullRankDelta:
-    def test_no_update_gives_zero(self):
-        a = np.array([[1.0, 2.0]])
-        b = np.array([[3.0], [4.0]])
-        assert np.array_equal(full_rank_delta(a, b, a, b), np.zeros((2, 2)))
-
-    def test_linear_in_a_when_b_fixed(self):
-        b = np.eye(2)
-        a_prev = np.zeros((2, 2))
-        delta = np.array([[0.5, -1.0], [2.0, 0.0]])
-        assert np.array_equal(full_rank_delta(a_prev + delta, b, a_prev, b), delta)
-
-    def test_rank_one_hand_case(self):
-        b = np.array([[1.0], [1.0]])
-        a_t = np.array([[1.0, 0.0]])
-        a_prev = np.array([[0.0, 1.0]])
-        assert np.array_equal(full_rank_delta(a_t, b, a_prev, b),
-                              [[1.0, -1.0], [1.0, -1.0]])
+            backward(net, x, label, mask=mask)
 
 
 class TestFlatViews:
@@ -212,28 +257,6 @@ class TestFlatViews:
         assert slices[-1][1].stop == flatten_lora(net).size
         covered = sum(s.stop - s.start for pair in slices for s in pair)
         assert covered == flatten_lora(net).size
-
-
-class TestCheckpointFormat:
-    def test_roundtrip_preserves_everything(self, tmp_path, rng):
-        net, x, _ = random_small_net(rng)
-        path = tmp_path / "net.bin"
-        save_network(net, path)
-        loaded = load_network(path)
-        assert loaded.num_classes == net.num_classes
-        for l0, l1 in zip(net.layers, loaded.layers):
-            assert np.array_equal(l0.w_base, l1.w_base)
-            assert np.array_equal(l0.a, l1.a)
-            assert np.array_equal(l0.b, l1.b)
-            assert np.array_equal(l0.bias, l1.bias)
-            assert l0.activation == l1.activation
-        assert np.array_equal(forward(loaded, x).logits, forward(net, x).logits)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ValueError):
-            load_network(path)
 
 
 def test_rank_exceeding_dims_rejected():
