@@ -11,6 +11,7 @@ own seeded sub-stream.
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .linalg import eigh_symmetric, finite_diff_hessian, make_rng
 from .masking import NeuronMask, build_mask, layer_ratio, masked_param_count
 from .network import (apply_update, backward, build_network, clone_network,
                       dataset_loss_grad_flat, flatten_lora, forward,
-                      lora_slices, set_lora_flat)
+                      lora_slices)
 
 RANK_EPS = 1e-8  # relative eigenvalue cutoff for the numerical Hessian rank
 
@@ -111,17 +112,6 @@ def _train_epoch(dev, cfg, batch_ids, phase, mask=None):
     return float(np.mean(np.concatenate(losses)))
 
 
-def _device_loss_grad(net_proto, xs, ys):
-    """Mean local-loss gradient as a function of the flat adapter vector."""
-    probe = clone_network(net_proto)
-
-    def grad(v):
-        set_lora_flat(probe, v)
-        return dataset_loss_grad_flat(probe, xs, ys)
-
-    return grad
-
-
 def _spectrum_rank(hessian, lipschitz):
     """(r, R) from the eigengap rule over the nonzero part of the spectrum."""
     evals, _ = eigh_symmetric(hessian)
@@ -159,8 +149,8 @@ def device_init_analysis(dev, cfg, fim_rows):
 
     p_t = flatten_lora(dev.net)
     sub = min(cfg.hessian_samples, dev.n_k)
-    grad_fn = _device_loss_grad(dev.net, dev.train.features[:sub],
-                                dev.train.labels[:sub])
+    grad_fn = partial(dataset_loss_grad_flat, dev.net,
+                      dev.train.features[:sub], dev.train.labels[:sub])
     hessian = finite_diff_hessian(grad_fn, p_t)
 
     delta = p0 - p_t
@@ -168,21 +158,15 @@ def device_init_analysis(dev, cfg, fim_rows):
     if radius == 0.0:
         # no warmup displacement: no confident gap, fall back to r = R
         lip = math.inf
-    else:
-        def base_fn(x):
-            return hessian @ x - grad_fn(x + p_t)
-
-        lip = gal_mod.lipschitz_estimate(base_fn, delta, radius,
-                                         cfg.lipschitz_points,
-                                         make_rng(cfg.seed, 0x11, dev.k))
+    else:  # hessian is symmetric: row i of xs @ hessian is hessian @ xs[i]
+        lip = gal_mod.lipschitz_estimate(
+            lambda xs: xs @ hessian - grad_fn(xs + p_t), delta, radius,
+            cfg.lipschitz_points, make_rng(cfg.seed, 0x11, dev.k))
     dev.eigengap = _spectrum_rank(hessian, lip)
 
-    blocks = []
-    for sa, sb in lora_slices(dev.net):
-        sel = np.concatenate([np.arange(sa.start, sa.stop),
-                              np.arange(sb.start, sb.stop)])
-        blocks.append(_spectrum_rank(hessian[np.ix_(sel, sel)], lip))
-    dev.layer_blocks = blocks
+    dev.layer_blocks = [
+        _spectrum_rank(hessian[sa.start:sb.stop, sa.start:sb.stop], lip)
+        for sa, sb in lora_slices(dev.net)]
 
 
 def init_phase(devices, cfg):

@@ -97,7 +97,9 @@ def lipschitz_estimate(g, center, radius, samples, rng):
     """Empirical Lipschitz constant of a vector map over a ball.
 
     Max of ||g(x)-g(y)|| / ||x-y|| over all pairs of `samples` points drawn
-    uniformly in the ball around `center`. Deterministic given the RNG state.
+    uniformly in the ball around `center`, skipping coincident pairs. `g`
+    maps a stack of points, one per row, to their values, one per row, and
+    is called once. Deterministic given the RNG state.
     """
     if samples < 2:
         raise ValueError("need at least two sample points")
@@ -105,23 +107,21 @@ def lipschitz_estimate(g, center, radius, samples, rng):
         raise ValueError("radius must be positive")
     center = np.asarray(center, dtype=np.float64)
     dim = center.size
-    pts = []
-    for _ in range(samples):
+    pts = np.empty((samples, dim))
+    for p in pts:
         d = rng.normal(size=dim)
         d /= np.linalg.norm(d)
-        pts.append(center + radius * rng.random() ** (1.0 / dim) * d)
-    vals = [np.asarray(g(p), dtype=np.float64) for p in pts]
-    best = None
-    for i in range(samples):
-        for j in range(i + 1, samples):
-            dx = np.linalg.norm(pts[i] - pts[j])
-            if dx == 0.0:
-                continue
-            ratio = np.linalg.norm(vals[i] - vals[j]) / dx
-            best = ratio if best is None else max(best, ratio)
-    if best is None:
+        p[:] = center + radius * rng.random() ** (1.0 / dim) * d
+    vals = np.asarray(g(pts), dtype=np.float64)
+    ratios = []
+    for i in range(samples - 1):  # row i of the pair triangle: (i, j > i)
+        dx = np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
+        apart = dx != 0.0
+        ratios.extend(np.linalg.norm(vals[i + 1:][apart] - vals[i], axis=1)
+                      / dx[apart])
+    if not ratios:
         raise ArithmeticError("all sampled point pairs coincide")
-    return float(best)
+    return float(max(ratios))
 
 
 def eigengap_rank(eigenvalues, lipschitz):
@@ -130,11 +130,8 @@ def eigengap_rank(eigenvalues, lipschitz):
     ev = np.asarray(eigenvalues, dtype=np.float64)
     if ev.size == 0:
         raise ValueError("empty spectrum")
-    gap = 4.0 * lipschitz
-    for r in range(ev.size - 1):
-        if ev[r + 1] - ev[r] > gap:
-            return r + 1
-    return ev.size
+    wide = np.flatnonzero(np.diff(ev) > 4.0 * lipschitz)
+    return int(wide[0]) + 1 if wide.size else ev.size
 
 
 def gal_count(per_device, num_layers, mu):

@@ -56,22 +56,22 @@ def finite_diff_gradient(f, x, h=None):
 def finite_diff_hessian(grad, x, h=None):
     """Symmetrized central-difference Jacobian of a gradient function.
 
-    `grad` maps a vector to a vector of the same size; the result is the
-    symmetrized Jacobian, exact for linear maps.
+    `grad` maps a stack of points, one per row, to their gradients, one per
+    row. It is called once per side of the stencil, on the rows x + h*e_i
+    and then on the rows x - h*e_i; the result is the symmetrized Jacobian,
+    exact for linear maps.
     """
     x = np.asarray(x, dtype=np.float64)
     if h is None:
         h = default_step(x)
     if h <= 0:
         raise ValueError("step must be positive")
-    n = x.size
-    jac = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros_like(x)
-        e[i] = h
-        gp = np.asarray(grad(x + e), dtype=np.float64)
-        gm = np.asarray(grad(x - e), dtype=np.float64)
-        if not (np.all(np.isfinite(gp)) and np.all(np.isfinite(gm))):
-            raise ArithmeticError(f"non-finite gradient at component {i}")
-        jac[i] = (gp - gm) / (2.0 * h)
+    e = h * np.eye(x.size)
+    gp = np.asarray(grad(x + e), dtype=np.float64)
+    gm = np.asarray(grad(x - e), dtype=np.float64)
+    bad = ~(np.isfinite(gp).all(axis=1) & np.isfinite(gm).all(axis=1))
+    if bad.any():
+        raise ArithmeticError(
+            f"non-finite gradient at component {int(np.argmax(bad))}")
+    jac = (gp - gm) / (2.0 * h)
     return 0.5 * (jac + jac.T)

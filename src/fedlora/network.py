@@ -7,7 +7,8 @@ analytic (softmax cross-entropy head), including the input gradient the
 layer-sensitivity noise generation needs. `backward` sums the adapter
 gradients over the rows, applies a neuron mask in closed form and returns
 each sample's diagonal-Fisher row sums, so no caller needs per-sample
-gradients.
+gradients. A stack of K substitute adapters (`params`) broadcasts over the
+shared frozen W, so K probe points cost one pass.
 """
 
 from dataclasses import dataclass
@@ -85,7 +86,8 @@ class Gradients:
     `fim_rows[l]` holds each sample's squared gradient w.r.t. layer l's
     effective weight W + B.A, summed over every output row: delta_i^2 ||x||^2
     for the pre-activation loss gradient delta and the layer input x.
-    `fim_rows`, `d_input` and `loss` are per sample.
+    `fim_rows`, `d_input` and `loss` are per sample. Under a stack of K
+    substitute adapters every field has a leading K axis.
     """
     da: list
     db: list
@@ -131,7 +133,7 @@ def forward(net, x, labels=None, params=None):
     h = x
     for li, layer in enumerate(net.layers):
         a, b = params.get(li, (layer.a, layer.b)) if params else (layer.a, layer.b)
-        z = h @ layer.w_base.T + (h @ a.T) @ b.T + layer.bias
+        z = h @ layer.w_base.mT + (h @ a.mT) @ b.mT + layer.bias
         h = np.maximum(z, 0.0) if layer.activation == "relu" else z
         hidden.append(h)
     trace = ForwardTrace(hidden=hidden, logits=h)
@@ -139,13 +141,15 @@ def forward(net, x, labels=None, params=None):
         m = np.max(h, axis=-1, keepdims=True)
         e = np.exp(h - m)
         s = e.sum(axis=-1, keepdims=True)
-        picked = np.take_along_axis(h, np.asarray(labels)[..., None], axis=-1)
+        idx = np.asarray(labels)[..., None]
+        picked = np.take_along_axis(
+            h, idx.reshape((1,) * (h.ndim - idx.ndim) + idx.shape), axis=-1)
         trace.loss = (m + np.log(s) - picked)[..., 0]
         trace.probs = e / s
     return trace
 
 
-def backward(net, x, labels, mask=None):
+def backward(net, x, labels, mask=None, params=None):
     """Analytic cross-entropy gradients w.r.t. every A, B and the input, for
     one sample or a matrix with one sample per row; dA and dB are summed over
     the rows. Frozen parameters get no gradient slots.
@@ -155,9 +159,12 @@ def backward(net, x, labels, mask=None):
     is zeroed before that layer's dA and dB are formed: its row of dB is zero
     and it has no path into dA. Earlier layers and the input see the
     unmasked delta.
+
+    `params` substitutes adapters as in `forward`; delta propagates as
+    delta.W + (delta.B).A, which never forms a (K, d_out, d_in) weight.
     """
     x = np.asarray(x, dtype=np.float64)
-    trace = forward(net, x, labels)
+    trace = forward(net, x, labels, params)
     inputs = [x] + trace.hidden[:-1]
     delta = trace.probs - (np.arange(net.num_classes) ==
                            np.asarray(labels)[..., None])
@@ -167,6 +174,7 @@ def backward(net, x, labels, mask=None):
                   fim_rows=[None] * n_layers, d_input=None, loss=trace.loss)
     for li in range(n_layers - 1, -1, -1):
         layer = net.layers[li]
+        a, b = params.get(li, (layer.a, layer.b)) if params else (layer.a, layer.b)
         if layer.activation == "relu":
             delta = delta * (trace.hidden[li] > 0)
         g.fim_rows[li] = delta ** 2 * np.sum(inputs[li] ** 2, axis=-1,
@@ -177,10 +185,13 @@ def backward(net, x, labels, mask=None):
             if m.shape != (layer.d_out,):
                 raise ValueError(f"mask shape {m.shape} != ({layer.d_out},)")
             kept = np.where(m, delta, 0.0)
-        kept, x_in = np.atleast_2d(kept, inputs[li])  # a 1-D sample is n = 1
-        g.db[li] = kept.T @ (x_in @ layer.a.T)
-        g.da[li] = (kept @ layer.b).T @ x_in
-        delta = delta @ (layer.w_base + layer.b @ layer.a)
+        delta_b = delta @ b
+        kept_b = delta_b if kept is delta else kept @ b
+        # a 1-D sample is n = 1
+        kept, kept_b, x_in = np.atleast_2d(kept, kept_b, inputs[li])
+        g.db[li] = kept.mT @ (x_in @ a.mT)
+        g.da[li] = kept_b.mT @ x_in
+        delta = delta @ layer.w_base + delta_b @ a
     g.d_input = delta
     return g
 
@@ -209,9 +220,9 @@ def lora_slices(net):
     return slices
 
 
-def _flat(pairs):
-    return np.concatenate([np.concatenate([a.ravel(), b.ravel()])
-                           for a, b in pairs])
+def _flat(pairs):  # along the last axis: a leading stack axis is kept
+    return np.concatenate([m.reshape(*m.shape[:-2], -1)
+                           for pair in pairs for m in pair], axis=-1)
 
 
 def flatten_lora(net):
@@ -225,7 +236,13 @@ def set_lora_flat(net, vec):
         layer.b = vec[sb].reshape(layer.b.shape).copy()
 
 
-def dataset_loss_grad_flat(net, xs, ys):
-    """Mean cross-entropy gradient over (xs, ys), flattened adapter layout."""
-    g = backward(net, xs, ys)
+def dataset_loss_grad_flat(net, xs, ys, vecs):
+    """Mean cross-entropy gradient over (xs, ys) at every row of `vecs`, a
+    (K, P) stack of flat adapter vectors, in one backward over the stack."""
+    vecs = np.asarray(vecs, dtype=np.float64)
+    params = {li: (vecs[:, sa].reshape(-1, *layer.a.shape),
+                   vecs[:, sb].reshape(-1, *layer.b.shape))
+              for li, (layer, (sa, sb))
+              in enumerate(zip(net.layers, lora_slices(net)))}
+    g = backward(net, xs, ys, params=params)
     return _flat(zip(g.da, g.db)) / len(ys)

@@ -180,13 +180,13 @@ class TestLipschitzEstimate:
         m = rng.normal(size=(6, 6))
         m = m @ m.T + np.eye(6)  # well-conditioned
         spectral = np.linalg.norm(m, 2)
-        est = lipschitz_estimate(lambda v: m @ v, np.zeros(6), 1.0, 64,
+        est = lipschitz_estimate(lambda v: v @ m.T, np.zeros(6), 1.0, 64,
                                  make_rng(5))
         assert est <= spectral + 1e-9
         assert est >= 0.5 * spectral
 
     def test_constant_map_is_zero(self):
-        est = lipschitz_estimate(lambda v: np.array([1.0, 2.0]),
+        est = lipschitz_estimate(lambda v: np.tile([1.0, 2.0], (len(v), 1)),
                                  np.zeros(3), 1.0, 16, make_rng(0))
         assert est == 0.0
 
@@ -200,6 +200,32 @@ class TestLipschitzEstimate:
         a = lipschitz_estimate(f, np.zeros(4), 1.0, 16, make_rng(9))
         b = lipschitz_estimate(f, np.zeros(4), 1.0, 16, make_rng(9))
         assert a == b
+
+    def test_equals_brute_force_pair_loop(self):
+        f = lambda v: np.sin(3.0 * v) + v[:, ::-1] ** 2  # one point per row
+        center, radius = np.array([0.5, -1.0, 2.0]), 0.7
+        for samples in (2, 3, 5, 24):
+            for seed in range(8):
+                rng = make_rng(seed)  # the same draws, in the same order
+                pts = []
+                for _ in range(samples):
+                    d = rng.normal(size=center.size)
+                    d /= np.linalg.norm(d)
+                    pts.append(center + radius
+                               * rng.random() ** (1.0 / center.size) * d)
+                want = max(
+                    np.linalg.norm(f(pts[i][None])[0] - f(pts[j][None])[0])
+                    / np.linalg.norm(pts[i] - pts[j])
+                    for i in range(samples) for j in range(i + 1, samples))
+                got = lipschitz_estimate(f, center, radius, samples,
+                                         make_rng(seed))
+                assert abs(got - want) <= 1e-12 * want
+
+    def test_coincident_points_raise(self):
+        # center + step == center in float64, so every point is the center
+        with pytest.raises(ArithmeticError):
+            lipschitz_estimate(lambda v: v, np.full(2, 1e20), 1.0, 8,
+                               make_rng(0))
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):

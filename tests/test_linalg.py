@@ -77,20 +77,34 @@ class TestFiniteDiffHessian:
 
     def test_linear_gradient_gives_symmetrized_jacobian(self):
         j = np.array([[1.0, 2.0], [5.0, -3.0]])
-        h = finite_diff_hessian(lambda v: j @ v, np.array([0.0, 0.0]))
+        h = finite_diff_hessian(lambda v: v @ j.T, np.array([0.0, 0.0]))
         assert np.allclose(h, 0.5 * (j + j.T), atol=1e-8)
 
     def test_cubic_cross_terms(self):
-        # f = x0^2 * x1, grad = (2 x0 x1, x0^2)
-        grad = lambda v: np.array([2.0 * v[0] * v[1], v[0] ** 2])
+        # f = x0^2 * x1, grad = (2 x0 x1, x0^2), one point per row
+        grad = lambda v: np.stack([2.0 * v[:, 0] * v[:, 1], v[:, 0] ** 2],
+                                  axis=1)
         h = finite_diff_hessian(grad, np.array([1.0, 1.0]))
         assert np.allclose(h, [[2.0, 2.0], [2.0, 0.0]], atol=1e-3)
 
     def test_output_is_symmetric(self):
         rng = make_rng(3)
         j = rng.normal(size=(5, 5))
-        h = finite_diff_hessian(lambda v: j @ v, rng.normal(size=5))
+        h = finite_diff_hessian(lambda v: v @ j.T, rng.normal(size=5))
         assert np.array_equal(h, h.T)
+
+    def test_nonfinite_stencil_row_names_the_first_component(self):
+        # NaN rows where component 1 steps up and component 3 steps down
+        def grad(v):
+            bad = (v[:, 1] > 0.0) | (v[:, 3] < 0.0)
+            return np.where(bad[:, None], np.nan, 2.0 * v)
+
+        with pytest.raises(ArithmeticError, match="at component 1$"):
+            finite_diff_hessian(grad, np.zeros(4))
+        # a non-finite row on the minus side alone is caught too
+        with pytest.raises(ArithmeticError, match="at component 3$"):
+            finite_diff_hessian(lambda v: np.where((v[:, 3] < 0.0)[:, None],
+                                                   np.inf, v), np.zeros(4))
 
 
 def test_default_step_scales_with_magnitude():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import flat_loss_fn, random_small_net, single_identity_layer_net
-from fedlora.linalg import finite_diff_gradient, make_rng
+from fedlora.linalg import (default_step, finite_diff_gradient,
+                            finite_diff_hessian, make_rng)
 from fedlora.network import (LoraLayer, LoraNetwork, apply_update, backward,
                              build_network, clone_network,
                              dataset_loss_grad_flat, flatten_lora, forward,
@@ -152,7 +153,67 @@ class TestBatched:
         g = backward(net, xs, ys)
         want = np.concatenate([np.concatenate([da.ravel(), db.ravel()])
                                for da, db in zip(g.da, g.db)]) / len(ys)
-        assert np.array_equal(dataset_loss_grad_flat(net, xs, ys), want)
+        assert np.array_equal(
+            dataset_loss_grad_flat(net, xs, ys, flatten_lora(net)[None])[0], want)
+
+    def test_stacked_adapters_equal_single_adapter_calls(self, rng):
+        k = 4
+        for _ in range(5):
+            net, xs, ys = self.sample_batch(rng)
+            stack = {li: (rng.normal(0.0, 0.3, size=(k,) + l.a.shape),
+                          rng.normal(0.0, 0.3, size=(k,) + l.b.shape))
+                     for li, l in enumerate(net.layers)}
+            mask = [rng.random(l.d_out) < 0.5 for l in net.layers]
+            for m in (None, mask):
+                stacked = backward(net, xs, ys, mask=m, params=stack)
+                for i in range(k):
+                    single_net = clone_network(net)
+                    for li, (a, b) in stack.items():
+                        single_net.layers[li].a = a[i].copy()
+                        single_net.layers[li].b = b[i].copy()
+                    single = backward(single_net, xs, ys, mask=m)
+                    for name in ("da", "db", "fim_rows"):
+                        for got, want in zip(getattr(stacked, name),
+                                             getattr(single, name)):
+                            assert np.allclose(got[i], want, rtol=1e-12,
+                                               atol=1e-12)
+                    for name in ("d_input", "loss"):
+                        assert np.allclose(getattr(stacked, name)[i],
+                                           getattr(single, name), rtol=1e-12,
+                                           atol=1e-12)
+
+    def test_stacked_dataset_gradient_rows_match_probe_clones(self, rng):
+        net, xs, ys = self.sample_batch(rng)
+        vecs = flatten_lora(net) + rng.normal(
+            0.0, 0.3, size=(5, net.lora_param_count()))
+        got = dataset_loss_grad_flat(net, xs, ys, vecs)
+        assert got.shape == vecs.shape
+        probe = clone_network(net)
+        for row, vec in zip(got, vecs):
+            set_lora_flat(probe, vec)
+            g = backward(probe, xs, ys)
+            want = np.concatenate([np.concatenate([da.ravel(), db.ravel()])
+                                   for da, db in zip(g.da, g.db)]) / len(ys)
+            assert np.allclose(row, want, rtol=1e-12, atol=1e-12)
+
+    def test_stacked_hessian_equals_per_point_stencil(self, rng):
+        net, xs, ys = self.sample_batch(rng)
+        x = flatten_lora(net)
+        got = finite_diff_hessian(
+            lambda v: dataset_loss_grad_flat(net, xs, ys, v), x)
+        # reference: one probe clone per stencil point, one component a row
+        probe = clone_network(net)
+
+        def grad_at(vec):
+            set_lora_flat(probe, vec)
+            g = backward(probe, xs, ys)
+            return np.concatenate([np.concatenate([da.ravel(), db.ravel()])
+                                   for da, db in zip(g.da, g.db)]) / len(ys)
+
+        h = default_step(x)
+        jac = np.array([(grad_at(x + h * e) - grad_at(x - h * e)) / (2.0 * h)
+                        for e in np.eye(x.size)])
+        assert np.allclose(got, 0.5 * (jac + jac.T), rtol=1e-9, atol=1e-9)
 
     def test_params_override_replaces_the_adapter(self, rng):
         net, x, _ = random_small_net(rng)
