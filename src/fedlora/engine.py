@@ -91,11 +91,11 @@ def build_devices(cfg):
     return devices
 
 
-def _backward(dev, idx, phase, mask=None):
+def _backward(dev, idx, phase, mask=None, adapters_only=False):
     """`backward` over the device's training rows `idx`; a non-finite loss or
     gradient raises ArithmeticError naming the device and the phase."""
     g = backward(dev.net, dev.train.features[idx], dev.train.labels[idx],
-                 mask=mask)
+                 mask=mask, adapters_only=adapters_only)
     if not all(np.isfinite(v).all() for v in [g.loss, *g.da, *g.db]):
         raise ArithmeticError(
             f"non-finite loss or gradient on device {dev.k}, {phase}")
@@ -106,7 +106,8 @@ def _train_epoch(dev, cfg, batch_ids, phase, mask=None):
     """One pass of per-batch summed-gradient SGD; returns the mean loss."""
     losses = []
     for j in batch_ids:
-        g = _backward(dev, dev.batches[j], phase, mask=mask)
+        g = _backward(dev, dev.batches[j], phase, mask=mask,
+                      adapters_only=True)
         apply_update(dev.net, g, cfg.lr)
         losses.append(g.loss)
     return float(np.mean(np.concatenate(losses)))
@@ -304,26 +305,48 @@ def comm_bytes(payload_params, sampled):
     return per_direction, per_direction
 
 
-def _hits(net, test, params):
-    logits = forward(net, test.features, params=params).logits
-    return int(np.count_nonzero(np.argmax(logits, axis=1) == test.labels))
+def pad_test_sets(devices):
+    """Every device's test set in one zero-padded stack: features
+    (D, n_max, d) and labels (D, n_max). Padded rows carry label -1, which
+    no prediction equals."""
+    n_max = max(len(dev.test) for dev in devices)
+    xs = np.zeros((len(devices), n_max, devices[0].net.input_dim))
+    ys = np.full((len(devices), n_max), -1)
+    for i, dev in enumerate(devices):
+        xs[i, :len(dev.test)] = dev.test.features
+        ys[i, :len(dev.test)] = dev.test.labels
+    return xs, ys
 
 
-def evaluate(server, devices):
-    """(personalized weighted accuracy, server-view weighted accuracy).
+def evaluate(server, devices, tests):
+    """(personalized weighted accuracy, server-view weighted accuracy) on
+    `tests`, the devices' `pad_test_sets`.
 
     The personalized view runs each device's network with the server's GAL
     parameters; the server view also restores the non-GAL layers to their
-    post-init snapshot."""
-    total = sum(len(dev.test) for dev in devices)
-    acc = 0
-    view = 0
-    for dev in devices:
-        acc += _hits(dev.net, dev.test, server.gal_params)
-        snapshot = {li: snap for li, snap in enumerate(dev.local_snapshot)
-                    if snap is not None}
-        view += _hits(dev.net, dev.test, server.gal_params | snapshot)
-    return acc / total, view / total
+    post-init snapshot. Each view is one forward over every device at once,
+    over the frozen base the devices share (`build_devices`): the GAL
+    adapters apply to all, the non-GAL ones are stacked along the device
+    axis. With every layer in the GAL the views coincide and are computed
+    once."""
+    xs, ys = tests
+    total = np.count_nonzero(ys >= 0)
+    local = [li for li in range(len(devices[0].net.layers))
+             if li not in server.gal_params]
+
+    def accuracy(pairs):  # pairs(li): every device's (a, b) of layer li
+        params = dict(server.gal_params)
+        for li in local:
+            a, b = zip(*pairs(li))
+            params[li] = (np.array(a), np.array(b))
+        logits = forward(devices[0].net, xs, params=params).logits
+        return np.count_nonzero(np.argmax(logits, axis=-1) == ys) / total
+
+    acc = accuracy(lambda li: [(dev.net.layers[li].a, dev.net.layers[li].b)
+                               for dev in devices])
+    if not local:
+        return acc, acc
+    return acc, accuracy(lambda li: [dev.local_snapshot[li] for dev in devices])
 
 
 def run(cfg):
@@ -335,6 +358,7 @@ def run(cfg):
     devices = build_devices(cfg)
     server, devices = init_phase(devices, cfg)
     payload = gal_payload_params(devices[0].net, server.gal.gal_layers)
+    tests = pad_test_sets(devices)
 
     reports = []
     for t in range(cfg.rounds):
@@ -349,7 +373,7 @@ def run(cfg):
             losses.append(loss)
         fedavg_gal(server, updates)
         down, up = comm_bytes(payload, len(sampled))
-        acc, view = evaluate(server, devices)
+        acc, view = evaluate(server, devices, tests)
         reports.append(RoundReport(
             round=t, sampled=sampled, train_loss=float(np.mean(losses)),
             weighted_test_acc=acc, server_view_acc=view,

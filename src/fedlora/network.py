@@ -8,7 +8,8 @@ layer-sensitivity noise generation needs. `backward` sums the adapter
 gradients over the rows, applies a neuron mask in closed form and returns
 each sample's diagonal-Fisher row sums, so no caller needs per-sample
 gradients. A stack of K substitute adapters (`params`) broadcasts over the
-shared frozen W, so K probe points cost one pass.
+shared frozen W, so K probe points cost one pass; a (K, n, d) input pairs
+the k-th matrix of samples with the k-th adapter.
 """
 
 from dataclasses import dataclass
@@ -86,8 +87,9 @@ class Gradients:
     `fim_rows[l]` holds each sample's squared gradient w.r.t. layer l's
     effective weight W + B.A, summed over every output row: delta_i^2 ||x||^2
     for the pre-activation loss gradient delta and the layer input x.
-    `fim_rows`, `d_input` and `loss` are per sample. Under a stack of K
-    substitute adapters every field has a leading K axis.
+    `fim_rows`, `d_input` and `loss` are per sample; `fim_rows` and
+    `d_input` are None from a `backward(..., adapters_only=True)`. Under a
+    stack of K substitute adapters every field has a leading K axis.
     """
     da: list
     db: list
@@ -122,12 +124,15 @@ def clone_network(net):
 
 
 def forward(net, x, labels=None, params=None):
-    """Hidden states and logits of one sample or of a matrix with one sample
-    per row; with `labels`, also the per-sample loss and softmax. `params`
-    optionally maps a layer index to an (a, b) pair used in place of that
-    layer's own adapter."""
+    """Hidden states and logits of one sample, of a matrix with one sample
+    per row, or of a (K, n, d) stack of such matrices; with `labels`, also
+    the per-sample loss and softmax. `params` optionally maps a layer index
+    to an (a, b) pair used in place of that layer's own adapter: a 2-D pair
+    applies to every sample, a (K, r, d_in) / (K, d_out, r) stack gives the
+    outputs a leading K axis, its k-th adapter meeting the k-th matrix of a
+    stacked input."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != net.input_dim:
+    if x.ndim not in (1, 2, 3) or x.shape[-1] != net.input_dim:
         raise ValueError(f"input shape {x.shape} does not end in ({net.input_dim},)")
     hidden = []
     h = x
@@ -149,7 +154,7 @@ def forward(net, x, labels=None, params=None):
     return trace
 
 
-def backward(net, x, labels, mask=None, params=None):
+def backward(net, x, labels, mask=None, params=None, adapters_only=False):
     """Analytic cross-entropy gradients w.r.t. every A, B and the input, for
     one sample or a matrix with one sample per row; dA and dB are summed over
     the rows. Frozen parameters get no gradient slots.
@@ -162,6 +167,11 @@ def backward(net, x, labels, mask=None, params=None):
 
     `params` substitutes adapters as in `forward`; delta propagates as
     delta.W + (delta.B).A, which never forms a (K, d_out, d_in) weight.
+
+    `adapters_only` leaves `fim_rows` and `d_input` None: only the Fisher
+    scoring and the input-noise generation read them, so training steps and
+    the stacked probes skip their cost. `da`, `db` and `loss` are the same
+    either way.
     """
     x = np.asarray(x, dtype=np.float64)
     trace = forward(net, x, labels, params)
@@ -171,14 +181,16 @@ def backward(net, x, labels, mask=None, params=None):
 
     n_layers = len(net.layers)
     g = Gradients(da=[None] * n_layers, db=[None] * n_layers,
-                  fim_rows=[None] * n_layers, d_input=None, loss=trace.loss)
+                  fim_rows=None if adapters_only else [None] * n_layers,
+                  d_input=None, loss=trace.loss)
     for li in range(n_layers - 1, -1, -1):
         layer = net.layers[li]
         a, b = params.get(li, (layer.a, layer.b)) if params else (layer.a, layer.b)
         if layer.activation == "relu":
             delta = delta * (trace.hidden[li] > 0)
-        g.fim_rows[li] = delta ** 2 * np.sum(inputs[li] ** 2, axis=-1,
-                                             keepdims=True)
+        if not adapters_only:
+            g.fim_rows[li] = delta ** 2 * np.sum(inputs[li] ** 2, axis=-1,
+                                                 keepdims=True)
         kept = delta
         if mask is not None and mask[li] is not None:
             m = np.asarray(mask[li], dtype=bool)
@@ -191,8 +203,10 @@ def backward(net, x, labels, mask=None, params=None):
         kept, kept_b, x_in = np.atleast_2d(kept, kept_b, inputs[li])
         g.db[li] = kept.mT @ (x_in @ a.mT)
         g.da[li] = kept_b.mT @ x_in
-        delta = delta @ layer.w_base + delta_b @ a
-    g.d_input = delta
+        if li > 0 or not adapters_only:
+            delta = delta @ layer.w_base + delta_b @ a
+    if not adapters_only:
+        g.d_input = delta
     return g
 
 
@@ -244,5 +258,5 @@ def dataset_loss_grad_flat(net, xs, ys, vecs):
                    vecs[:, sb].reshape(-1, *layer.b.shape))
               for li, (layer, (sa, sb))
               in enumerate(zip(net.layers, lora_slices(net)))}
-    g = backward(net, xs, ys, params=params)
+    g = backward(net, xs, ys, params=params, adapters_only=True)
     return _flat(zip(g.da, g.db)) / len(ys)

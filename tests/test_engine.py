@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from fedlora.config import ConfigError, ExperimentConfig
-from fedlora.engine import (ServerState, build_devices, comm_bytes, evaluate,
-                            fedavg_gal, gal_payload_params, init_phase,
-                            local_round, make_batches, run, sample_devices)
+from fedlora import engine
+from fedlora.engine import (DeviceState, ServerState, build_devices,
+                            comm_bytes, evaluate, fedavg_gal,
+                            gal_payload_params, init_phase, local_round,
+                            make_batches, pad_test_sets, run, sample_devices)
 from fedlora.gal import GalDecision
 from fedlora.linalg import make_rng
-from fedlora.network import apply_update, backward, build_network
+from fedlora.network import apply_update, backward, build_network, forward
 
 
 def small_cfg(**overrides):
@@ -344,11 +346,132 @@ class TestRun:
             summary["frozen_params_device0"] == total
 
 
+class TestRunContract:
+    """The engine calls that `engine.run` makes and the benchmark wraps."""
+
+    def test_hooks_are_called_as_the_benchmark_wraps_them(self, monkeypatch):
+        cfg = small_cfg(rounds=3, lipschitz_points=8, hessian_samples=2)
+        calls = {"init": [], "local": [], "evaluate": 0}
+
+        def init_phase_hook(*args, **kwargs):
+            out = init_phase(*args, **kwargs)
+            calls["init"].append(out)
+            return out
+
+        def local_round_hook(dev, gal_params, t, cfg):
+            calls["local"].append((dev.k, t, gal_params, cfg))
+            return local_round(dev, gal_params, t, cfg)
+
+        def evaluate_hook(*args, **kwargs):
+            calls["evaluate"] += 1
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "init_phase", init_phase_hook)
+        monkeypatch.setattr(engine, "local_round", local_round_hook)
+        monkeypatch.setattr(engine, "evaluate", evaluate_hook)
+        reports, _, server, devices = engine.run(cfg)
+
+        [out] = calls["init"]
+        assert isinstance(out, tuple) and len(out) == 2
+        assert isinstance(out[0], ServerState) and out[0] is server
+        assert out[1] is devices
+        assert all(isinstance(dev, DeviceState) for dev in devices)
+        assert [(k, t) for k, t, _, _ in calls["local"]] == [
+            (k, r.round) for r in reports for k in r.sampled]
+        assert len(calls["local"]) == cfg.rounds * cfg.sampled_per_round
+        assert all(c is cfg and set(p) == server.gal.gal_layers
+                   for _, _, p, c in calls["local"])
+        assert calls["evaluate"] == cfg.rounds
+
+
+def per_device_accuracy(server, devices):
+    """The two views of `evaluate`, one forward per device and view."""
+    hits = [0, 0]
+    for dev in devices:
+        snapshot = {li: snap for li, snap in enumerate(dev.local_snapshot)
+                    if snap is not None}
+        for v, params in enumerate((server.gal_params,
+                                    server.gal_params | snapshot)):
+            logits = forward(dev.net, dev.test.features, params=params).logits
+            hits[v] += int(np.count_nonzero(
+                np.argmax(logits, axis=1) == dev.test.labels))
+    total = sum(len(dev.test) for dev in devices)
+    return hits[0] / total, hits[1] / total
+
+
+def randomize_adapters(server, devices, rng):
+    """Large random adapters, different per device and between the live
+    and snapshot copies, so that each device's predictions depend on which
+    adapter meets which test rows."""
+    for li, (a, b) in server.gal_params.items():
+        server.gal_params[li] = (rng.normal(size=a.shape),
+                                 rng.normal(size=b.shape))
+    for dev in devices:
+        for li, snap in enumerate(dev.local_snapshot):
+            if snap is not None:
+                layer = dev.net.layers[li]
+                layer.a = rng.normal(size=layer.a.shape)
+                layer.b = rng.normal(size=layer.b.shape)
+                dev.local_snapshot[li] = (rng.normal(size=layer.a.shape),
+                                          rng.normal(size=layer.b.shape))
+
+
 class TestEvaluate:
     def test_personalized_view_uses_global_gal_overlay(self):
         cfg = small_cfg(mode="fedavg-lora", rounds=1)
         _, _, server, devices = run(cfg)
-        acc, view = evaluate(server, devices)
+        acc, view = evaluate(server, devices, pad_test_sets(devices))
         assert 0.0 <= acc <= 1.0
         # with every layer global and local snapshots absent, both views agree
         assert acc == view
+
+    def test_sparse_views_equal_a_per_device_loop(self):
+        cfg = small_cfg(mu=0.5, lipschitz_points=8, hessian_samples=2,
+                        lr=0.03)
+        _, _, server, devices = run(cfg)
+        # the case the stack must handle: a strict-subset GAL, partial masks,
+        # unequal test-set sizes (so padded rows) and views that differ
+        assert server.gal.gal_layers == {2}
+        assert any(m is not None and not m.all()
+                   for dev in devices for m in dev.mask.per_layer)
+        assert len({len(dev.test) for dev in devices}) > 1
+        tests = pad_test_sets(devices)
+        want = per_device_accuracy(server, devices)
+        assert want[0] != want[1]
+        assert evaluate(server, devices, tests) == want
+        rng = make_rng(7)
+        for _ in range(5):
+            randomize_adapters(server, devices, rng)
+            assert evaluate(server, devices, tests) == \
+                per_device_accuracy(server, devices)
+
+    def test_full_sync_computes_one_view(self, monkeypatch):
+        cfg = small_cfg(mode="full-sync", lipschitz_points=8,
+                        hessian_samples=2)
+        _, _, server, devices = run(cfg)
+        assert server.gal.gal_layers == {0, 1, 2}
+        assert all(snap is None for dev in devices
+                   for snap in dev.local_snapshot)
+        forwards = []
+
+        def counted(*args, **kwargs):
+            forwards.append(args[1].shape)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "forward", counted)
+        tests = pad_test_sets(devices)
+        acc, view = evaluate(server, devices, tests)
+        assert forwards == [tests[0].shape]
+        assert acc == view == per_device_accuracy(server, devices)[0]
+
+    def test_padded_rows_match_no_label(self):
+        cfg = small_cfg(mu=0.5)
+        devices = build_devices(cfg)
+        xs, ys = pad_test_sets(devices)
+        n_max = max(len(dev.test) for dev in devices)
+        assert xs.shape == (len(devices), n_max, cfg.dim)
+        for i, dev in enumerate(devices):
+            n = len(dev.test)
+            assert np.array_equal(xs[i, :n], dev.test.features)
+            assert np.array_equal(ys[i, :n], dev.test.labels)
+            assert not xs[i, n:].any() and (ys[i, n:] == -1).all()

@@ -182,6 +182,47 @@ class TestBatched:
                                            getattr(single, name), rtol=1e-12,
                                            atol=1e-12)
 
+    def test_adapters_only_equals_the_full_path(self, rng):
+        k = 4
+        for _ in range(5):
+            net, xs, ys = self.sample_batch(rng)
+            stack = {li: (rng.normal(0.0, 0.3, size=(k,) + l.a.shape),
+                          rng.normal(0.0, 0.3, size=(k,) + l.b.shape))
+                     for li, l in enumerate(net.layers)}
+            mask = [rng.random(l.d_out) < 0.5 for l in net.layers]
+            for m in (None, mask):
+                for params in (None, stack):
+                    full = backward(net, xs, ys, mask=m, params=params)
+                    lean = backward(net, xs, ys, mask=m, params=params,
+                                    adapters_only=True)
+                    assert lean.fim_rows is None and lean.d_input is None
+                    assert full.fim_rows is not None
+                    assert full.d_input is not None
+                    assert np.array_equal(lean.loss, full.loss)
+                    for name in ("da", "db"):
+                        for got, want in zip(getattr(lean, name),
+                                             getattr(full, name)):
+                            assert np.array_equal(got, want)
+
+    def test_stacked_input_pairs_each_matrix_with_its_adapter(self, rng):
+        k, n = 3, 5
+        for _ in range(5):
+            net, _, _ = random_small_net(rng)
+            xs = rng.normal(size=(k, n, net.input_dim))
+            # layer 0 shared by every matrix, the others stacked
+            params = {li: (rng.normal(0.0, 0.3, size=(k,) + l.a.shape),
+                           rng.normal(0.0, 0.3, size=(k,) + l.b.shape))
+                      for li, l in enumerate(net.layers) if li}
+            params[0] = (net.layers[0].a, net.layers[0].b)
+            got = forward(net, xs, params=params).logits
+            assert got.shape == (k, n, net.num_classes)
+            for i in range(k):
+                single = {li: (a if a.ndim == 2 else a[i],
+                               b if b.ndim == 2 else b[i])
+                          for li, (a, b) in params.items()}
+                want = forward(net, xs[i], params=single).logits
+                assert np.allclose(got[i], want, rtol=1e-12, atol=1e-12)
+
     def test_stacked_dataset_gradient_rows_match_probe_clones(self, rng):
         net, xs, ys = self.sample_batch(rng)
         vecs = flatten_lora(net) + rng.normal(
