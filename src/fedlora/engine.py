@@ -19,9 +19,9 @@ from . import curriculum, fisher, gal as gal_mod
 from .data import PartitionConfig, dirichlet_partition, generate, split
 from .linalg import eigh_symmetric, finite_diff_hessian, make_rng
 from .masking import NeuronMask, build_mask, layer_ratio, masked_param_count
-from .network import (apply_update, backward, build_network, clone_network,
+from .network import (backward, build_network, clone_network,
                       dataset_loss_grad_flat, flatten_lora, forward,
-                      lora_slices)
+                      lora_slices, lora_views, set_lora_flat)
 
 RANK_EPS = 1e-8  # relative eigenvalue cutoff for the numerical Hessian rank
 
@@ -91,25 +91,38 @@ def build_devices(cfg):
     return devices
 
 
-def _backward(dev, idx, phase, mask=None, adapters_only=False):
-    """`backward` over the device's training rows `idx`; a non-finite loss or
+def _backward(dev, idx, phase, out=None, **kwargs):
+    """`backward` over the device's training rows `idx`, its dA/dB written
+    into the flat vector `out` (a fresh one if None); a non-finite loss or
     gradient raises ArithmeticError naming the device and the phase."""
+    if out is None:
+        out = np.empty(dev.net.lora_param_count())
     g = backward(dev.net, dev.train.features[idx], dev.train.labels[idx],
-                 mask=mask, adapters_only=adapters_only)
-    if not all(np.isfinite(v).all() for v in [g.loss, *g.da, *g.db]):
+                 out=out, **kwargs)
+    if not (np.isfinite(g.loss).all() and np.isfinite(out).all()):
         raise ArithmeticError(
             f"non-finite loss or gradient on device {dev.k}, {phase}")
     return g
 
 
 def _train_epoch(dev, cfg, batch_ids, phase, mask=None):
-    """One pass of per-batch summed-gradient SGD; returns the mean loss."""
+    """One pass of per-batch summed-gradient SGD; returns the mean loss.
+
+    The epoch works on one flat copy `p` of the device's adapters: each
+    batch's backward reads them through reshaped views of `p` and writes
+    its dA/dB into one flat gradient `g`, and one `p -= lr * g` steps every
+    layer, elementwise the same as `apply_update`. The network's adapters
+    are written back from `p` once, at the end of the epoch."""
+    p = flatten_lora(dev.net)
+    params = lora_views(dev.net, p)
+    g = np.empty_like(p)
     losses = []
     for j in batch_ids:
-        g = _backward(dev, dev.batches[j], phase, mask=mask,
-                      adapters_only=True)
-        apply_update(dev.net, g, cfg.lr)
-        losses.append(g.loss)
+        loss = _backward(dev, dev.batches[j], phase, out=g, mask=mask,
+                         params=params, adapters_only=True).loss
+        p -= cfg.lr * g
+        losses.append(loss)
+    set_lora_flat(dev.net, p)
     return float(np.mean(np.concatenate(losses)))
 
 

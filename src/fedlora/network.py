@@ -7,9 +7,13 @@ analytic (softmax cross-entropy head), including the input gradient the
 layer-sensitivity noise generation needs. `backward` sums the adapter
 gradients over the rows, applies a neuron mask in closed form and returns
 each sample's diagonal-Fisher row sums, so no caller needs per-sample
-gradients. A stack of K substitute adapters (`params`) broadcasts over the
-shared frozen W, so K probe points cost one pass; a (K, n, d) input pairs
-the k-th matrix of samples with the k-th adapter.
+gradients. It reuses the rank-r projections x.A^T that `forward` keeps in
+its trace, and can write dA/dB straight into one flat gradient vector
+(`out=`, in `flatten_lora` order), which is how the engine's training step
+runs on a single flat adapter vector. A stack of K substitute adapters
+(`params`) broadcasts over the shared frozen W, so K probe points cost one
+pass; a (K, n, d) input pairs the k-th matrix of samples with the k-th
+adapter.
 """
 
 from dataclasses import dataclass
@@ -75,9 +79,11 @@ class LoraNetwork:
 @dataclass
 class ForwardTrace:
     hidden: list          # post-activation output per layer
+    projections: list     # rank-r projection x.A^T of each layer's input
     logits: np.ndarray
     loss: np.ndarray | None = None  # per sample
     probs: np.ndarray | None = None
+    label_index: tuple | None = None  # where each label's logit sits
 
 
 @dataclass
@@ -123,41 +129,56 @@ def clone_network(net):
     return LoraNetwork(layers, net.num_classes)
 
 
+def _matmul(a, b, out=None):
+    """a @ b. Two 2-D operands go through `ndarray.dot`, the same BLAS call
+    as the matmul ufunc at less than half its per-call overhead (about 1 of
+    2.3 us at the desk sizes, which a training step pays 22 times); stacked
+    operands broadcast through `np.matmul`."""
+    if a.ndim == 2 and b.ndim == 2:
+        return a.dot(b, out)
+    return np.matmul(a, b, out=out)
+
+
 def forward(net, x, labels=None, params=None):
     """Hidden states and logits of one sample, of a matrix with one sample
-    per row, or of a (K, n, d) stack of such matrices; with `labels`, also
-    the per-sample loss and softmax. `params` optionally maps a layer index
-    to an (a, b) pair used in place of that layer's own adapter: a 2-D pair
-    applies to every sample, a (K, r, d_in) / (K, d_out, r) stack gives the
-    outputs a leading K axis, its k-th adapter meeting the k-th matrix of a
-    stacked input."""
+    per row, or of a (K, n, d) stack of such matrices; with `labels` (one
+    per row), also the per-sample loss and softmax. `params` optionally maps
+    a layer index to an (a, b) pair used in place of that layer's own
+    adapter: a 2-D pair applies to every sample, a (K, r, d_in) /
+    (K, d_out, r) stack gives the outputs a leading K axis, its k-th adapter
+    meeting the k-th matrix of a stacked input."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2, 3) or x.shape[-1] != net.input_dim:
         raise ValueError(f"input shape {x.shape} does not end in ({net.input_dim},)")
     hidden = []
+    projections = []
     h = x
     for li, layer in enumerate(net.layers):
         a, b = params.get(li, (layer.a, layer.b)) if params else (layer.a, layer.b)
-        z = h @ layer.w_base.mT + (h @ a.mT) @ b.mT + layer.bias
+        proj = _matmul(h, a.mT)
+        z = _matmul(h, layer.w_base.mT) + _matmul(proj, b.mT) + layer.bias
         h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        projections.append(proj)
         hidden.append(h)
-    trace = ForwardTrace(hidden=hidden, logits=h)
+    trace = ForwardTrace(hidden=hidden, projections=projections, logits=h)
     if labels is not None:
-        m = np.max(h, axis=-1, keepdims=True)
+        m = h.max(axis=-1, keepdims=True)
         e = np.exp(h - m)
         s = e.sum(axis=-1, keepdims=True)
-        idx = np.asarray(labels)[..., None]
-        picked = np.take_along_axis(
-            h, idx.reshape((1,) * (h.ndim - idx.ndim) + idx.shape), axis=-1)
-        trace.loss = (m + np.log(s) - picked)[..., 0]
+        labels = np.asarray(labels)  # one per row, or one for a 1-D sample
+        trace.label_index = ((..., labels) if labels.ndim == 0 else
+                             (..., np.arange(labels.shape[-1]), labels))
+        trace.loss = (m + np.log(s))[..., 0] - h[trace.label_index]
         trace.probs = e / s
     return trace
 
 
-def backward(net, x, labels, mask=None, params=None, adapters_only=False):
+def backward(net, x, labels, mask=None, params=None, adapters_only=False,
+             out=None):
     """Analytic cross-entropy gradients w.r.t. every A, B and the input, for
     one sample or a matrix with one sample per row; dA and dB are summed over
-    the rows. Frozen parameters get no gradient slots.
+    the rows. Frozen parameters get no gradient slots. dB reuses the rank-r
+    projection x.A^T of each layer's input that `forward` computed.
 
     `mask` (optional) holds one boolean vector over output neurons per layer,
     or None for a fully trainable layer. A masked-out neuron's entry of delta
@@ -172,14 +193,41 @@ def backward(net, x, labels, mask=None, params=None, adapters_only=False):
     scoring and the input-noise generation read them, so training steps and
     the stacked probes skip their cost. `da`, `db` and `loss` are the same
     either way.
+
+    `out` (optional) is a contiguous float64 vector of
+    `net.lora_param_count()` entries: dA and dB are written into it in
+    `flatten_lora` order, and `da`/`db` are views into it. It takes no
+    leading K axis, so it cannot receive the gradients of stacked `params`.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:  # a 1-D sample is the n = 1 case, with 1-D shapes
+        g = backward(net, x[None], np.asarray(labels)[None], mask, params,
+                     adapters_only, out)
+        g.loss = g.loss[..., 0]
+        if not adapters_only:
+            g.fim_rows = [rows[..., 0, :] for rows in g.fim_rows]
+            g.d_input = g.d_input[..., 0, :]
+        return g
+    n_layers = len(net.layers)
+    masks = [None] * n_layers
+    for li, m in enumerate(() if mask is None else mask):
+        if m is not None:
+            masks[li] = np.asarray(m, dtype=bool)
+            if masks[li].shape != (net.layers[li].d_out,):
+                raise ValueError(f"mask shape {masks[li].shape} != "
+                                 f"({net.layers[li].d_out},)")
+    if out is not None:
+        end = net.lora_param_count()
+        if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                and out.shape == (end,) and out.flags.c_contiguous):
+            raise ValueError(
+                f"out must be a contiguous float64 vector of {end} entries")
+
     trace = forward(net, x, labels, params)
     inputs = [x] + trace.hidden[:-1]
-    delta = trace.probs - (np.arange(net.num_classes) ==
-                           np.asarray(labels)[..., None])
+    delta = trace.probs  # the trace is ours: softmax - onehot in place
+    delta[trace.label_index] -= 1.0
 
-    n_layers = len(net.layers)
     g = Gradients(da=[None] * n_layers, db=[None] * n_layers,
                   fim_rows=None if adapters_only else [None] * n_layers,
                   d_input=None, loss=trace.loss)
@@ -191,27 +239,32 @@ def backward(net, x, labels, mask=None, params=None, adapters_only=False):
         if not adapters_only:
             g.fim_rows[li] = delta ** 2 * np.sum(inputs[li] ** 2, axis=-1,
                                                  keepdims=True)
-        kept = delta
-        if mask is not None and mask[li] is not None:
-            m = np.asarray(mask[li], dtype=bool)
-            if m.shape != (layer.d_out,):
-                raise ValueError(f"mask shape {m.shape} != ({layer.d_out},)")
-            kept = np.where(m, delta, 0.0)
-        delta_b = delta @ b
-        kept_b = delta_b if kept is delta else kept @ b
-        # a 1-D sample is n = 1
-        kept, kept_b, x_in = np.atleast_2d(kept, kept_b, inputs[li])
-        g.db[li] = kept.mT @ (x_in @ a.mT)
-        g.da[li] = kept_b.mT @ x_in
+        delta_b = _matmul(delta, b)
+        if masks[li] is None:
+            kept, kept_b = delta, delta_b
+        else:
+            kept = np.where(masks[li], delta, 0.0)
+            kept_b = _matmul(kept, b)
+        da = db = None
+        if out is not None:  # flatten_lora order: each layer's A, then B
+            mid = end - layer.b.size
+            start = mid - layer.a.size
+            da = out[start:mid].reshape(layer.a.shape)
+            db = out[mid:end].reshape(layer.b.shape)
+            end = start
+        g.db[li] = _matmul(kept.mT, trace.projections[li], out=db)
+        g.da[li] = _matmul(kept_b.mT, inputs[li], out=da)
         if li > 0 or not adapters_only:
-            delta = delta @ layer.w_base + delta_b @ a
+            delta = _matmul(delta, layer.w_base) + _matmul(delta_b, a)
     if not adapters_only:
         g.d_input = delta
     return g
 
 
 def apply_update(net, g, lr):
-    """SGD step on the adapter pairs: A -= lr * dA, B -= lr * dB."""
+    """SGD step on the adapter pairs: A -= lr * dA, B -= lr * dB, layer by
+    layer. The engine takes the same step on one flat adapter vector; this
+    is the per-layer reference it is tested against."""
     if lr < 0:
         raise ValueError("learning rate must be non-negative")
     for layer, da, db in zip(net.layers, g.da, g.db):
@@ -219,7 +272,7 @@ def apply_update(net, g, lr):
         layer.b -= lr * db
 
 
-# --- flat adapter vector view (Hessian / Lipschitz machinery) ---
+# --- flat adapter vector view (training step, Hessian / Lipschitz) ---
 
 def lora_slices(net):
     """Per-layer (a_slice, b_slice) into the flattened adapter vector."""
@@ -243,20 +296,26 @@ def flatten_lora(net):
     return _flat((l.a, l.b) for l in net.layers)
 
 
+def lora_views(net, vecs):
+    """Per-layer (a, b) views into flat adapter vectors, keyed by layer index
+    like the `params` of `forward`/`backward`; a leading stack axis of
+    `vecs` is kept."""
+    lead = vecs.shape[:-1]
+    return {li: (vecs[..., sa].reshape(lead + layer.a.shape),
+                 vecs[..., sb].reshape(lead + layer.b.shape))
+            for li, (layer, (sa, sb))
+            in enumerate(zip(net.layers, lora_slices(net)))}
+
+
 def set_lora_flat(net, vec):
-    vec = np.asarray(vec, dtype=np.float64)
-    for layer, (sa, sb) in zip(net.layers, lora_slices(net)):
-        layer.a = vec[sa].reshape(layer.a.shape).copy()
-        layer.b = vec[sb].reshape(layer.b.shape).copy()
+    views = lora_views(net, np.asarray(vec, dtype=np.float64))
+    for layer, (a, b) in zip(net.layers, views.values()):
+        layer.a, layer.b = a.copy(), b.copy()
 
 
 def dataset_loss_grad_flat(net, xs, ys, vecs):
     """Mean cross-entropy gradient over (xs, ys) at every row of `vecs`, a
     (K, P) stack of flat adapter vectors, in one backward over the stack."""
-    vecs = np.asarray(vecs, dtype=np.float64)
-    params = {li: (vecs[:, sa].reshape(-1, *layer.a.shape),
-                   vecs[:, sb].reshape(-1, *layer.b.shape))
-              for li, (layer, (sa, sb))
-              in enumerate(zip(net.layers, lora_slices(net)))}
+    params = lora_views(net, np.asarray(vecs, dtype=np.float64))
     g = backward(net, xs, ys, params=params, adapters_only=True)
     return _flat(zip(g.da, g.db)) / len(ys)

@@ -1,10 +1,11 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from fedlora.config import ConfigError, ExperimentConfig
-from fedlora import engine
+from fedlora import curriculum, engine
 from fedlora.engine import (DeviceState, ServerState, build_devices,
                             comm_bytes, evaluate, fedavg_gal,
                             gal_payload_params, init_phase, local_round,
@@ -231,6 +232,115 @@ class TestLocalRound:
         moved = any(not np.array_equal(update[li][0], server.gal_params[li][0])
                     for li in update)
         assert moved
+
+
+def reference_local_round(dev, gal_params, t, cfg):
+    """`local_round` as an independent per-layer loop: sync the GAL, then per
+    curriculum-selected batch `backward` with the device's mask and
+    `apply_update`. Returns (mean loss, number of selected batches)."""
+    for li, (a, b) in gal_params.items():
+        dev.net.layers[li].a = a.copy()
+        dev.net.layers[li].b = b.copy()
+    pacing = curriculum.PacingConfig(cfg.beta, cfg.alpha, cfg.pace,
+                                     cfg.batch_size, cfg.rounds)
+    count = curriculum.pace_count(pacing, t, dev.n_k)
+    epoch_losses = []
+    for _ in range(cfg.local_iterations):
+        losses = []
+        for j in dev.batch_order[:count]:
+            idx = dev.batches[j]
+            g = backward(dev.net, dev.train.features[idx],
+                         dev.train.labels[idx], mask=dev.mask.per_layer)
+            apply_update(dev.net, g, cfg.lr)
+            losses.append(g.loss)
+        epoch_losses.append(float(np.mean(np.concatenate(losses))))
+    return float(np.mean(epoch_losses)), count
+
+
+class TestMaskedCurriculumRound:
+    def test_local_round_equals_the_per_layer_loop_exactly(self):
+        cfg = small_cfg(mu=0.5, lipschitz_points=8, hessian_samples=2,
+                        lr=0.03, beta=0.5, rounds=2, local_iterations=2)
+        server, devices = init_phase(build_devices(cfg), cfg)
+        # a strict-subset GAL and partial masks, so masked layers train
+        # locally while the GAL layer is synced
+        assert server.gal.gal_layers == {2}
+        assert any(m is not None and not m.all()
+                   for dev in devices for m in dev.mask.per_layer)
+        ref = copy.deepcopy(devices)
+        subsets = 0
+        for t in range(cfg.rounds):
+            sampled = sample_devices(cfg.devices, cfg.sampled_per_round,
+                                     make_rng(cfg.seed, 0x5E, t))
+            updates = []
+            for k in sampled:
+                want_loss, count = reference_local_round(
+                    ref[k], server.gal_params, t, cfg)
+                update, loss = local_round(devices[k], server.gal_params, t,
+                                           cfg)
+                subsets += count < len(devices[k].batches)
+                assert loss == want_loss
+                for got, want in zip(devices[k].net.layers, ref[k].net.layers):
+                    assert np.array_equal(got.a, want.a)
+                    assert np.array_equal(got.b, want.b)
+                for li, (a, b) in update.items():
+                    assert np.array_equal(a, ref[k].net.layers[li].a)
+                    assert np.array_equal(b, ref[k].net.layers[li].b)
+                updates.append((devices[k].n_k, update))
+            fedavg_gal(server, updates)
+        assert subsets > 0  # the curriculum left some batches out
+
+
+class TestNonFiniteGuard:
+    """A finite row large enough that the step overflows, in a batch after
+    the first, so the guard fires mid-epoch on the arithmetic, not on the
+    input."""
+
+    def test_local_round_names_the_device_and_round(self):
+        cfg = small_cfg(mode="fedavg-lora")  # every batch, in order
+        server, devices = init_phase(build_devices(cfg), cfg)
+        dev = devices[2]
+        dev.train.features[dev.batches[1][-1]] = -1e308
+        with pytest.raises(ArithmeticError,
+                           match="non-finite loss or gradient on device 2, "
+                                 "round 1$"), np.errstate(all="ignore"):
+            local_round(dev, server.gal_params, 1, cfg)
+
+    def test_guard_checks_the_loss_and_every_gradient_entry(self,
+                                                            monkeypatch):
+        cfg = small_cfg(mode="fedavg-lora")
+        real = engine.backward
+        for poison in ("loss", 0, -1):  # the loss, the first or last entry
+            dev = build_devices(cfg)[1]
+            calls = []
+
+            def poisoned(*args, **kwargs):
+                g = real(*args, **kwargs)
+                calls.append(poison)
+                if len(calls) == 2:  # the second batch of the epoch
+                    if poison == "loss":
+                        g.loss[-1] = np.nan
+                    else:
+                        kwargs["out"][poison] = np.inf
+                return g
+
+            monkeypatch.setattr(engine, "backward", poisoned)
+            with pytest.raises(ArithmeticError,
+                               match="on device 1, round 3$"):
+                local_round(dev, {}, 3, cfg)
+            assert len(calls) == 2
+
+    def test_init_phase_names_the_device_and_warmup_epoch(self):
+        cfg = small_cfg(mode="fibecfed", mu=0.5, lipschitz_points=8,
+                        hessian_samples=2)
+        devices = build_devices(cfg)
+        devices[2].train.features[devices[2].batches[1][-1]] = -1e308
+        # the Fisher scoring pass at the initial point stays finite in its
+        # loss and gradient; the first warmup training epoch overflows
+        with pytest.raises(ArithmeticError,
+                           match="non-finite loss or gradient on device 2, "
+                                 "warmup epoch 0$"), np.errstate(all="ignore"):
+            init_phase(devices, cfg)
 
 
 def reference_fedavg(cfg):

@@ -204,6 +204,49 @@ class TestBatched:
                                              getattr(full, name)):
                             assert np.array_equal(got, want)
 
+    def test_out_receives_the_gradients_in_flat_order(self, rng):
+        for _ in range(5):
+            net, xs, ys = self.sample_batch(rng)
+            mask = [rng.random(l.d_out) < 0.5 for l in net.layers]
+            for m in (None, mask):
+                for x, y in ((xs, ys), (xs[0], int(ys[0]))):
+                    for lean in (False, True):
+                        fresh = backward(net, x, y, mask=m, adapters_only=lean)
+                        out = np.full(net.lora_param_count(), np.nan)
+                        got = backward(net, x, y, mask=m, adapters_only=lean,
+                                       out=out)
+                        want = np.concatenate([
+                            np.concatenate([da.ravel(), db.ravel()])
+                            for da, db in zip(fresh.da, fresh.db)])
+                        assert out.tobytes() == want.tobytes()
+                        assert np.array_equal(got.loss, fresh.loss)
+                        for name in ("da", "db"):
+                            for a, b in zip(getattr(got, name),
+                                            getattr(fresh, name)):
+                                assert a.shape == b.shape
+                                assert np.array_equal(a, b)
+                        if not lean:
+                            assert np.array_equal(got.d_input, fresh.d_input)
+                        # da and db are views into out, not copies of it
+                        out[:] = 0.0
+                        assert not any(v.any() for v in got.da + got.db)
+
+    def test_out_must_be_one_flat_vector_of_every_adapter_entry(self, rng):
+        k = 3
+        net, xs, ys = self.sample_batch(rng)
+        p = net.lora_param_count()
+        for bad in (np.empty((k, p)), np.empty((1, p)), np.empty(p - 1),
+                    np.empty(p + 1), np.empty(2 * p)[::2],
+                    np.empty(p, dtype=np.float32)):
+            with pytest.raises(ValueError):
+                backward(net, xs, ys, out=bad)
+        stack = {li: (rng.normal(0.0, 0.3, size=(k,) + l.a.shape),
+                      rng.normal(0.0, 0.3, size=(k,) + l.b.shape))
+                 for li, l in enumerate(net.layers)}
+        for out in (np.empty(p), np.empty((k, p))):
+            with pytest.raises(ValueError):
+                backward(net, xs, ys, params=stack, out=out)
+
     def test_stacked_input_pairs_each_matrix_with_its_adapter(self, rng):
         k, n = 3, 5
         for _ in range(5):
