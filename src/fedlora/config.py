@@ -1,5 +1,7 @@
 """Experiment configuration: defaults, YAML parsing, strict validation."""
 
+import math
+import re
 from dataclasses import dataclass, field, fields
 
 import yaml
@@ -117,17 +119,30 @@ _INT_KEYS = {k for k, t in _FIELD_TYPES.items() if t in (int, "int")}
 _FLOAT_KEYS = {k for k, t in _FIELD_TYPES.items() if t in (float, "float")}
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 loading, except that a number with an exponent is a float
+    even without a dot or an exponent sign (`1e-3`, `1.0e150`), as in YAML
+    1.2; PyYAML's 1.1 resolver reads those as strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
+
 def parse_config(source):
     """Build a validated ExperimentConfig from YAML text or a mapping.
 
-    Unknown keys, wrong types, and cross-field violations are rejected with
-    the offending key named; an empty document yields the full defaults.
+    Unknown keys, wrong types, non-finite numbers and cross-field
+    violations are rejected with the offending key named; an empty document
+    yields the full defaults.
     """
     if isinstance(source, dict):
         raw = dict(source)
     else:
         try:
-            raw = yaml.safe_load(source)
+            raw = yaml.load(source, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"malformed config document: {exc}") from exc
         if raw is None:
@@ -149,6 +164,8 @@ def parse_config(source):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{key}: expected a number, got {value!r}")
             value = float(value)
+            if not math.isfinite(value):
+                raise ConfigError(f"{key}: expected a finite number, got {value!r}")
         elif key == "hidden_dims":
             if (not isinstance(value, list) or
                     not all(isinstance(v, int) and not isinstance(v, bool) for v in value)):

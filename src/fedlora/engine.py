@@ -17,7 +17,7 @@ import numpy as np
 
 from . import curriculum, fisher, gal as gal_mod
 from .data import PartitionConfig, dirichlet_partition, generate, split
-from .linalg import eigh_symmetric, finite_diff_hessian, make_rng
+from .linalg import eigvals_symmetric, finite_diff_hessian, make_rng
 from .masking import NeuronMask, build_mask, layer_ratio, masked_param_count
 from .network import (backward, build_network, clone_network,
                       dataset_loss_grad_flat, flatten_lora, forward,
@@ -93,13 +93,17 @@ def build_devices(cfg):
 
 def _backward(dev, idx, phase, out=None, **kwargs):
     """`backward` over the device's training rows `idx`, its dA/dB written
-    into the flat vector `out` (a fresh one if None); a non-finite loss or
-    gradient raises ArithmeticError naming the device and the phase."""
+    into the flat vector `out` (a fresh one if None); a non-finite loss,
+    gradient or, where computed, Fisher row sum raises ArithmeticError
+    naming the device and the phase."""
     if out is None:
         out = np.empty(dev.net.lora_param_count())
     g = backward(dev.net, dev.train.features[idx], dev.train.labels[idx],
                  out=out, **kwargs)
-    if not (np.isfinite(g.loss).all() and np.isfinite(out).all()):
+    finite = np.isfinite(g.loss).all() and np.isfinite(out).all()
+    if finite and g.fim_rows is not None:
+        finite = all(np.isfinite(rows).all() for rows in g.fim_rows)
+    if not finite:
         raise ArithmeticError(
             f"non-finite loss or gradient on device {dev.k}, {phase}")
     return g
@@ -128,7 +132,7 @@ def _train_epoch(dev, cfg, batch_ids, phase, mask=None):
 
 def _spectrum_rank(hessian, lipschitz):
     """(r, R) from the eigengap rule over the nonzero part of the spectrum."""
-    evals, _ = eigh_symmetric(hessian)
+    evals = eigvals_symmetric(hessian)
     cutoff = RANK_EPS * max(np.max(np.abs(evals)), 1e-300)
     nonzero = evals[np.abs(evals) > cutoff]
     if nonzero.size == 0:

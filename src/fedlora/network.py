@@ -318,4 +318,6 @@ def dataset_loss_grad_flat(net, xs, ys, vecs):
     (K, P) stack of flat adapter vectors, in one backward over the stack."""
     params = lora_views(net, np.asarray(vecs, dtype=np.float64))
     g = backward(net, xs, ys, params=params, adapters_only=True)
-    return _flat(zip(g.da, g.db)) / len(ys)
+    grads = _flat(zip(g.da, g.db))
+    grads /= len(ys)
+    return grads

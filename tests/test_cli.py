@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,23 @@ class TestParseConfig:
             parse_config("hidden_dims: 16\n")
         with pytest.raises(ConfigError, match="rounds"):
             parse_config("rounds: 1.5\n")
+
+    def test_exponent_floats_are_numbers(self):
+        cfg = parse_config("lr: 1e-3\nnoise_budget: 1E-1\nclass_sep: 1.0e150\n"
+                           "mu: 2.5e+0\n")
+        assert (cfg.lr, cfg.noise_budget, cfg.class_sep, cfg.mu) == \
+            (1e-3, 0.1, 1e150, 2.5)
+        with pytest.raises(ConfigError, match="rounds"):
+            parse_config("rounds: 1e3\n")
+
+    @pytest.mark.parametrize("key, text, value", [
+        ("mu", ".inf", math.inf), ("lr", ".inf", math.inf),
+        ("lr", "-.inf", -math.inf), ("class_sep", ".nan", math.nan)])
+    def test_non_finite_floats_rejected_naming_the_key(self, key, text, value):
+        with pytest.raises(ConfigError, match=f"^{key}: expected a finite"):
+            parse_config(f"{key}: {text}\n")
+        with pytest.raises(ConfigError, match=f"^{key}: expected a finite"):
+            parse_config({key: value})
 
     def test_cross_field_violations_rejected(self):
         with pytest.raises(ConfigError, match="sampled_per_round"):
@@ -174,6 +193,13 @@ class TestMainEntryPoint:
         cfg_path.write_text("beta: 0\n")
         assert main(["run", str(cfg_path)]) == 1
         assert main(["run", str(tmp_path / "missing.yaml")]) == 1
+
+    @pytest.mark.parametrize("key", ["mu", "lr"])
+    def test_non_finite_float_exits_one(self, tmp_path, capsys, key):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(f"{key}: .inf\n")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert f"{key}: expected a finite number" in capsys.readouterr().err
 
     def test_mode_override_applies(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"

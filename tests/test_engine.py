@@ -10,8 +10,8 @@ from fedlora.engine import (DeviceState, ServerState, build_devices,
                             comm_bytes, evaluate, fedavg_gal,
                             gal_payload_params, init_phase, local_round,
                             make_batches, pad_test_sets, run, sample_devices)
-from fedlora.gal import GalDecision
-from fedlora.linalg import make_rng
+from fedlora.gal import GalDecision, eigengap_rank
+from fedlora.linalg import eigh_symmetric, make_rng
 from fedlora.network import apply_update, backward, build_network, forward
 
 
@@ -335,12 +335,83 @@ class TestNonFiniteGuard:
                         hessian_samples=2)
         devices = build_devices(cfg)
         devices[2].train.features[devices[2].batches[1][-1]] = -1e308
-        # the Fisher scoring pass at the initial point stays finite in its
-        # loss and gradient; the first warmup training epoch overflows
+        # the Fisher scoring pass at the initial point, which runs as the
+        # momentum window's first epoch, overflows in its Fisher row sums
         with pytest.raises(ArithmeticError,
                            match="non-finite loss or gradient on device 2, "
                                  "warmup epoch 0$"), np.errstate(all="ignore"):
             init_phase(devices, cfg)
+
+    def test_init_phase_checks_the_fisher_row_sums(self):
+        cfg = small_cfg(mode="fibecfed", mu=0.5, lipschitz_points=8,
+                        hessian_samples=2)
+        devices = build_devices(cfg)
+        devices[2].train.features[devices[2].batches[1][0]] = 1e308
+        # the scoring pass's loss and gradient stay finite and so does
+        # training; unchecked, the overflowed row sums made layer 0 the GAL
+        # with a NaN score
+        with pytest.raises(ArithmeticError,
+                           match="non-finite loss or gradient on device 2, "
+                                 "warmup epoch 0$"), np.errstate(all="ignore"):
+            init_phase(devices, cfg)
+
+
+class TestSpectrumRank:
+    """`_spectrum_rank` reads eigenvalues alone; `eigh_symmetric` is the
+    reference."""
+
+    @staticmethod
+    def oracle(hessian, lipschitz):
+        evals, _ = eigh_symmetric(hessian)
+        cutoff = engine.RANK_EPS * max(np.max(np.abs(evals)), 1e-300)
+        nonzero = evals[np.abs(evals) > cutoff]
+        if nonzero.size == 0:
+            return 1, 1
+        return eigengap_rank(nonzero, lipschitz), nonzero.size
+
+    def test_planted_rank_deficiency_and_gaps(self):
+        rng = make_rng(5)
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            lip = 10.0 ** rng.uniform(-3, 0)
+            # nonzero eigenvalues of one sign, steps below 4*lip but for
+            # the planted gaps; the other eigenvalues are exactly 0
+            nonzero = int(rng.integers(0, n + 1))
+            steps = rng.uniform(0.0, 2.0 * lip, size=max(nonzero - 1, 0))
+            steps[rng.random(steps.size) < 0.2] = 10.0 * lip
+            planted = rng.uniform(1.0, 2.0) + np.concatenate(
+                [[0.0], np.cumsum(steps)])[:nonzero]
+            if rng.random() < 0.5:
+                planted = -planted[::-1]
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            ev = np.zeros(n)
+            ev[rng.permutation(n)[:nonzero]] = planted
+            hessian = (q * ev) @ q.T
+            hessian = 0.5 * (hessian + hessian.T)
+            expect = ((eigengap_rank(np.sort(planted), lip), nonzero)
+                      if nonzero else (1, 1))
+            assert engine._spectrum_rank(hessian, lip) == expect
+            assert self.oracle(hessian, lip) == expect
+            assert engine._spectrum_rank(hessian, math.inf) == \
+                (expect[1],) * 2
+
+    def test_small_config_hessians(self, monkeypatch):
+        cfg = small_cfg(mu=0.5, lipschitz_points=8, hessian_samples=2)
+        real = engine._spectrum_rank
+        seen = []
+
+        def recording(hessian, lipschitz):
+            seen.append((hessian.copy(), lipschitz, real(hessian, lipschitz)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(engine, "_spectrum_rank", recording)
+        devices = build_devices(cfg)
+        init_phase(devices, cfg)
+        # the whole model, then every layer block, per device
+        assert len(seen) == cfg.devices * (1 + len(devices[0].net.layers))
+        for hessian, lip, got in seen:
+            assert got == self.oracle(hessian, lip)
+        assert any(r < cap for _, _, (r, cap) in seen)
 
 
 def reference_fedavg(cfg):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fedlora.linalg import (default_step, eigh_symmetric, finite_diff_gradient,
-                            finite_diff_hessian, make_rng)
+from fedlora.linalg import (default_step, eigh_symmetric, eigvals_symmetric,
+                            finite_diff_gradient, finite_diff_hessian,
+                            make_rng)
 
 
 class TestMakeRng:
@@ -43,13 +44,28 @@ class TestEighSymmetric:
         assert abs(w.sum() - np.trace(m)) <= 1e-8 * max(1.0, abs(np.trace(m)))
         assert np.linalg.norm(v.T @ v - np.eye(12)) < 1e-8
 
-    def test_rejects_asymmetric_and_nonsquare(self):
-        with pytest.raises(ValueError):
-            eigh_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            eigh_symmetric(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            eigh_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    def test_eigenvalues_alone_match_the_decomposition(self):
+        rng = make_rng(1)
+        for n in (1, 2, 7, 40):
+            m = rng.normal(size=(n, n))
+            m = m + m.T
+            w = eigvals_symmetric(m)
+            assert np.all(np.diff(w) >= 0)
+            ref, _ = eigh_symmetric(m)
+            assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("spectrum", [eigh_symmetric, eigvals_symmetric])
+    def test_rejects_asymmetric_and_nonsquare(self, spectrum):
+        with pytest.raises(ValueError, match="not symmetric"):
+            spectrum(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="square"):
+            spectrum(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            spectrum(np.zeros(3))
+        with pytest.raises(ValueError, match="non-finite"):
+            spectrum(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            spectrum(np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
 
 class TestFiniteDiffGradient:
@@ -92,6 +108,20 @@ class TestFiniteDiffHessian:
         j = rng.normal(size=(5, 5))
         h = finite_diff_hessian(lambda v: v @ j.T, rng.normal(size=5))
         assert np.array_equal(h, h.T)
+
+    def test_one_call_per_stencil_side(self):
+        x = np.array([0.5, -1.0, 2.0, 0.0])
+        h = 1e-3
+        calls = []
+
+        def grad(v):
+            calls.append(v.copy())
+            return 2.0 * v
+
+        finite_diff_hessian(grad, x, h=h)
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], x + h * np.eye(4))
+        assert np.array_equal(calls[1], x - h * np.eye(4))
 
     def test_nonfinite_stencil_row_names_the_first_component(self):
         # NaN rows where component 1 steps up and component 3 steps down
