@@ -22,7 +22,6 @@ class Dataset:
 class PartitionConfig:
     concentration: float
     num_devices: int
-    train_fraction: float = 0.8
     min_shard: int = 8     # every device keeps at least one batch of data
     seed: int = 0
 
@@ -31,8 +30,6 @@ class PartitionConfig:
             raise ValueError("Dirichlet concentration must be positive")
         if self.num_devices < 1:
             raise ValueError("need at least one device")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train fraction must lie in (0, 1)")
 
 
 def generate(num_classes, per_class, dim, class_sep, rng):

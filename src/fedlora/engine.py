@@ -77,8 +77,7 @@ def build_devices(cfg):
                   make_rng(cfg.seed, 0xDA))
     shards = dirichlet_partition(ds, PartitionConfig(
         concentration=cfg.dirichlet_alpha, num_devices=cfg.devices,
-        train_fraction=cfg.train_fraction, min_shard=cfg.min_shard,
-        seed=cfg.seed))
+        min_shard=cfg.min_shard, seed=cfg.seed))
     base = build_network(cfg.dim, cfg.hidden_dims, cfg.num_classes,
                          rank=cfg.lora_rank, seed=cfg.seed)
     devices = []
@@ -225,8 +224,9 @@ def init_phase(devices, cfg):
 
     decision = gal_mod.GalDecision(
         gal_layers=gal_layers, n_star=n_star, mu=cfg.mu,
-        per_device={dev.k: ((1.0 - dev.eigengap[0] / dev.eigengap[1]) * num_layers,)
-                    + dev.eigengap for dev in devices} if need_analysis else {},
+        # a fresh list per device: a shared (r, R) would dump as a YAML alias
+        per_device=({dev.k: list(dev.eigengap) for dev in devices}
+                    if need_analysis else {}),
         global_scores=list(map(float, global_scores)))
 
     for dev in devices:
@@ -403,8 +403,7 @@ def run(cfg):
         "mode": cfg.mode,
         "gal_layers": sorted(server.gal.gal_layers),
         "n_star": server.gal.n_star,
-        "per_device_ranks": {k: (r, cap) for k, (_, r, cap)
-                             in server.gal.per_device.items()},
+        "per_device_ranks": server.gal.per_device,
         "global_layer_scores": server.gal.global_scores,
         "payload_params_per_device": payload,
         "trainable_params_device0": trainable,

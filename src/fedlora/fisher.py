@@ -23,9 +23,6 @@ class FimDiag:
     per_layer: list          # one flat vector of d_out * columns per layer
     layer_shapes: list       # (d_out, columns) per layer
 
-    def total(self):
-        return float(sum(v.sum() for v in self.per_layer))
-
 
 @dataclass
 class BatchScore:
@@ -61,11 +58,6 @@ def mean_row_fim(fim_rows):
     layer's per-sample row sums in `Gradients.fim_rows`."""
     return FimDiag([rows.mean(axis=0) for rows in fim_rows],
                    [(rows.shape[1], 1) for rows in fim_rows])
-
-
-def sample_score(fd):
-    """Difficulty of one sample: trace of its diagonal FIM."""
-    return fd.total()
 
 
 def batch_score(scores):

@@ -30,7 +30,7 @@ class GalDecision:
     gal_layers: set
     n_star: int
     mu: float
-    per_device: dict = field(default_factory=dict)  # k -> (n_star_k, r_k, R_k)
+    per_device: dict = field(default_factory=dict)  # k -> [r_k, R_k]
     global_scores: list = field(default_factory=list)
 
 

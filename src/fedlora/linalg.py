@@ -1,6 +1,6 @@
-"""Dense numeric substrate: seeded RNG streams, symmetric eigendecomposition
-and eigenvalues, and finite-difference oracles used for gradient/Hessian
-checks."""
+"""Dense numeric substrate: seeded RNG streams, the eigenvalues of a
+symmetric matrix (and its full eigendecomposition, the reference they are
+tested against), and the finite-difference Hessian of a gradient map."""
 
 import numpy as np
 
@@ -46,25 +46,6 @@ def default_step(x):
     """Finite-difference step scaled by the magnitude of the argument."""
     x = np.asarray(x, dtype=np.float64)
     return 1e-5 * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
-
-
-def finite_diff_gradient(f, x, h=None):
-    """Central-difference gradient of a scalar function, component by component."""
-    x = np.asarray(x, dtype=np.float64)
-    if h is None:
-        h = default_step(x)
-    if h <= 0:
-        raise ValueError("step must be positive")
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        fp = f(x + e)
-        fm = f(x - e)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ArithmeticError(f"non-finite evaluation at component {i}")
-        g[i] = (fp - fm) / (2.0 * h)
-    return g
 
 
 def finite_diff_hessian(grad, x, h=None):

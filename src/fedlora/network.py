@@ -141,12 +141,12 @@ def _matmul(a, b, out=None):
 
 def forward(net, x, labels=None, params=None):
     """Hidden states and logits of one sample, of a matrix with one sample
-    per row, or of a (K, n, d) stack of such matrices; with `labels` (one
-    per row), also the per-sample loss and softmax. `params` optionally maps
-    a layer index to an (a, b) pair used in place of that layer's own
-    adapter: a 2-D pair applies to every sample, a (K, r, d_in) /
-    (K, d_out, r) stack gives the outputs a leading K axis, its k-th adapter
-    meeting the k-th matrix of a stacked input."""
+    per row, or of a (K, n, d) stack of such matrices; with `labels` of
+    shape x.shape[:-1], also the per-sample loss and softmax. `params`
+    optionally maps a layer index to an (a, b) pair used in place of that
+    layer's own adapter: a 2-D pair applies to every sample, a
+    (K, r, d_in) / (K, d_out, r) stack gives the outputs a leading K axis,
+    its k-th adapter meeting the k-th matrix of a stacked input."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2, 3) or x.shape[-1] != net.input_dim:
         raise ValueError(f"input shape {x.shape} does not end in ({net.input_dim},)")
@@ -165,9 +165,10 @@ def forward(net, x, labels=None, params=None):
         m = h.max(axis=-1, keepdims=True)
         e = np.exp(h - m)
         s = e.sum(axis=-1, keepdims=True)
-        labels = np.asarray(labels)  # one per row, or one for a 1-D sample
-        trace.label_index = ((..., labels) if labels.ndim == 0 else
-                             (..., np.arange(labels.shape[-1]), labels))
+        labels = np.asarray(labels)
+        if labels.shape != x.shape[:-1]:
+            raise ValueError(f"label shape {labels.shape} != {x.shape[:-1]}")
+        trace.label_index = (..., *np.indices(labels.shape, sparse=True), labels)
         trace.loss = (m + np.log(s))[..., 0] - h[trace.label_index]
         trace.probs = e / s
     return trace

@@ -15,9 +15,10 @@ from fedlora.engine import (ServerState, build_devices, fedavg_gal,
 from fedlora.fisher import sample_fim_diag
 from fedlora.gal import (GalDecision, NoiseConfig, adversarial_noise,
                          eigengap_rank, gal_count)
-from fedlora.linalg import finite_diff_gradient, make_rng
+from fedlora.linalg import make_rng
 from fedlora.network import (LoraLayer, LoraNetwork, backward, build_network,
                              flatten_lora, forward, lora_slices)
+from oracles import finite_diff_gradient
 from test_engine import reference_fedavg, small_cfg
 
 

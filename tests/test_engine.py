@@ -13,6 +13,7 @@ from fedlora.engine import (DeviceState, ServerState, build_devices,
 from fedlora.gal import GalDecision, eigengap_rank
 from fedlora.linalg import eigh_symmetric, make_rng
 from fedlora.network import apply_update, backward, build_network, forward
+from oracles import fim_trace
 
 
 def small_cfg(**overrides):
@@ -181,7 +182,7 @@ class TestInitPhase:
         for dev in devices:
             scores = []
             for j, idx in enumerate(dev.batches):
-                per = [fisher.sample_score(fisher.sample_fim_diag(
+                per = [fim_trace(fisher.sample_fim_diag(
                     dev.net, dev.train.features[i], int(dev.train.labels[i])))
                     for i in idx]
                 scores.append((float(sum(per)), j))

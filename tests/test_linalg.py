@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fedlora.linalg import (default_step, eigh_symmetric, eigvals_symmetric,
-                            finite_diff_gradient, finite_diff_hessian,
-                            make_rng)
+                            finite_diff_hessian, make_rng)
+from oracles import finite_diff_gradient
 
 
 class TestMakeRng:

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import flat_loss_fn, random_small_net, single_identity_layer_net
-from fedlora.linalg import (default_step, finite_diff_gradient,
-                            finite_diff_hessian, make_rng)
+from fedlora.linalg import default_step, finite_diff_hessian, make_rng
 from fedlora.network import (LoraLayer, LoraNetwork, apply_update, backward,
                              build_network, clone_network,
                              dataset_loss_grad_flat, flatten_lora, forward,
                              lora_slices, set_lora_flat)
+from oracles import finite_diff_gradient
 
 
 def frozen_digest(net):
@@ -265,6 +265,47 @@ class TestBatched:
                           for li, (a, b) in params.items()}
                 want = forward(net, xs[i], params=single).logits
                 assert np.allclose(got[i], want, rtol=1e-12, atol=1e-12)
+
+    def test_stacked_labels_equal_the_per_device_loop_bitwise(self, rng):
+        # (K, n) labels with a (K, n, d) input: row j of matrix k is scored
+        # against ys[k, j], as if each device ran its own backward
+        k, n = 5, 8
+        desk = build_network(16, [16, 12], 10, seed=3)
+        for layer in desk.layers:  # move B off its zero init
+            layer.b = rng.normal(0.0, 0.3, size=layer.b.shape)
+        nets = [desk] + [random_small_net(rng)[0] for _ in range(9)]
+        for net in nets:
+            xs = rng.normal(size=(k, n, net.input_dim))
+            ys = rng.integers(0, net.num_classes, size=(k, n))
+            stack = {li: (rng.normal(0.0, 0.3, size=(k,) + l.a.shape),
+                          rng.normal(0.0, 0.3, size=(k,) + l.b.shape))
+                     for li, l in enumerate(net.layers)}
+            mask = [rng.random(l.d_out) < 0.5 for l in net.layers]
+            for m in (None, mask):
+                stacked = backward(net, xs, ys, mask=m, params=stack)
+                assert stacked.loss.shape == (k, n)
+                for i in range(k):
+                    single = backward(net, xs[i], ys[i], mask=m, params={
+                        li: (a[i], b[i]) for li, (a, b) in stack.items()})
+                    for name in ("da", "db", "fim_rows"):
+                        for got, want in zip(getattr(stacked, name),
+                                             getattr(single, name)):
+                            assert np.array_equal(got[i], want)
+                    for name in ("d_input", "loss"):
+                        assert np.array_equal(getattr(stacked, name)[i],
+                                              getattr(single, name))
+
+    def test_label_shape_must_match_the_sample_axes(self, rng):
+        k, n = 3, 4
+        net, x, label = random_small_net(rng)
+        xs = rng.normal(size=(k, n, net.input_dim))
+        ys = rng.integers(0, net.num_classes, size=(k, n))
+        for inputs, labels in ((xs, ys[0]), (xs, ys[:, :-1]), (xs[0], ys),
+                               (xs[0], ys[0, :-1]), (x, [label]),
+                               (xs[0, 0], ys[0])):
+            for fn in (forward, backward):
+                with pytest.raises(ValueError, match="label shape"):
+                    fn(net, inputs, labels)
 
     def test_stacked_dataset_gradient_rows_match_probe_clones(self, rng):
         net, xs, ys = self.sample_batch(rng)
