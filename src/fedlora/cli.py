@@ -66,7 +66,13 @@ def run_experiment(cfg, out_dir):
 
 def read_metrics(path):
     with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.DictReader(f))
+        reader = csv.DictReader(f)  # None marks a missing or extra field
+        rows = []
+        for row in reader:
+            if None in row or None in row.values():
+                raise ValueError(f"{path}, line {reader.line_num}: field "
+                                 "count differs from the header")
+            rows.append(row)
     if rows and set(rows[0]) != set(CSV_HEADER):
         raise ValueError(f"{path}: unexpected metrics schema")
     return rows

@@ -35,10 +35,6 @@ class DeviceState:
     batches: list = field(default_factory=list)      # index arrays into train
     batch_order: list = field(default_factory=list)  # ascending difficulty
     mask: NeuronMask = None
-    momentum_fim: object = None
-    eigengap: tuple = None       # (r_k, R_k)
-    layer_blocks: list = None    # per-layer (r, R) for the mask ratios
-    local_snapshot: list = None  # (a, b) copies of non-GAL layers after init
 
     @property
     def n_k(self):
@@ -90,16 +86,13 @@ def build_devices(cfg):
     return devices
 
 
-def _backward(dev, idx, phase, out=None, **kwargs):
-    """`backward` over the device's training rows `idx`, its dA/dB written
-    into the flat vector `out` (a fresh one if None); a non-finite loss,
+def _backward(dev, idx, phase, **kwargs):
+    """`backward` over the device's training rows `idx`; a non-finite loss,
     gradient or, where computed, Fisher row sum raises ArithmeticError
     naming the device and the phase."""
-    if out is None:
-        out = np.empty(dev.net.lora_param_count())
     g = backward(dev.net, dev.train.features[idx], dev.train.labels[idx],
-                 out=out, **kwargs)
-    finite = np.isfinite(g.loss).all() and np.isfinite(out).all()
+                 **kwargs)
+    finite = np.isfinite(g.loss).all() and np.isfinite(g.grad).all()
     if finite and g.fim_rows is not None:
         finite = all(np.isfinite(rows).all() for rows in g.fim_rows)
     if not finite:
@@ -112,19 +105,18 @@ def _train_epoch(dev, cfg, batch_ids, phase, mask=None):
     """One pass of per-batch summed-gradient SGD; returns the mean loss.
 
     The epoch works on one flat copy `p` of the device's adapters: each
-    batch's backward reads them through reshaped views of `p` and writes
-    its dA/dB into one flat gradient `g`, and one `p -= lr * g` steps every
+    batch's backward reads them through reshaped views of `p` and returns
+    one flat gradient `g.grad`, and one `p -= lr * g.grad` steps every
     layer, elementwise the same as `apply_update`. The network's adapters
     are written back from `p` once, at the end of the epoch."""
     p = flatten_lora(dev.net)
     params = lora_views(dev.net, p)
-    g = np.empty_like(p)
     losses = []
     for j in batch_ids:
-        loss = _backward(dev, dev.batches[j], phase, out=g, mask=mask,
-                         params=params, adapters_only=True).loss
-        p -= cfg.lr * g
-        losses.append(loss)
+        g = _backward(dev, dev.batches[j], phase, mask=mask, params=params,
+                      adapters_only=True)
+        p -= cfg.lr * g.grad
+        losses.append(g.loss)
     set_lora_flat(dev.net, p)
     return float(np.mean(np.concatenate(losses)))
 
@@ -141,7 +133,8 @@ def _spectrum_rank(hessian, lipschitz):
 
 
 def device_init_analysis(dev, cfg, fim_rows):
-    """Warmup training plus the Hessian/Lipschitz eigengap analysis.
+    """Warmup training plus the Hessian/Lipschitz eigengap analysis; returns
+    (momentum FIM, (r, R), per-layer-block (r, R)).
 
     Runs the momentum-FIM window and warmup epochs, then computes the
     whole-model finite-difference Hessian at the post-warmup point and the
@@ -162,7 +155,6 @@ def device_init_analysis(dev, cfg, fim_rows):
                                          cfg.gamma_m)
         if epoch < cfg.warmup_epochs:
             _train_epoch(dev, cfg, range(len(dev.batches)), phase)
-    dev.momentum_fim = fim
 
     p_t = flatten_lora(dev.net)
     sub = min(cfg.hessian_samples, dev.n_k)
@@ -179,9 +171,7 @@ def device_init_analysis(dev, cfg, fim_rows):
         lip = gal_mod.lipschitz_estimate(
             lambda xs: xs @ hessian - grad_fn(xs + p_t), delta, radius,
             cfg.lipschitz_points, make_rng(cfg.seed, 0x11, dev.k))
-    dev.eigengap = _spectrum_rank(hessian, lip)
-
-    dev.layer_blocks = [
+    return fim, _spectrum_rank(hessian, lip), [
         _spectrum_rank(hessian[sa.start:sb.stop, sa.start:sb.stop], lip)
         for sa, sb in lora_slices(dev.net)]
 
@@ -198,6 +188,7 @@ def init_phase(devices, cfg):
     need_analysis = cfg.gal_on or cfg.mask_on
     noise_cfg = gal_mod.NoiseConfig(cfg.noise_budget, cfg.p_norm)
     layer_scores = []
+    analysis = {}  # device id -> device_init_analysis result
     for dev in devices if cfg.curriculum_on or need_analysis else []:
         # Fisher row sums at the initial point: batch difficulty (the sum of
         # each sample's FIM trace) and the first epoch of the momentum FIM
@@ -210,12 +201,12 @@ def init_phase(devices, cfg):
         if need_analysis:
             layer_scores.append((dev.n_k, gal_mod.device_layer_scores(
                 dev.net, dev.train.features, dev.train.labels, noise_cfg)))
-            device_init_analysis(dev, cfg, fim_rows)
+            analysis[dev.k] = device_init_analysis(dev, cfg, fim_rows)
 
     if cfg.gal_on:
         global_scores = gal_mod.aggregate_layer_scores(layer_scores)
-        n_star = gal_mod.gal_count(
-            [(dev.n_k,) + dev.eigengap for dev in devices], num_layers, cfg.mu)
+        n_star = gal_mod.gal_count([(dev.n_k, *analysis[dev.k][1])
+                                    for dev in devices], num_layers, cfg.mu)
         gal_layers = gal_mod.select_gal(global_scores, n_star)
     else:
         global_scores = np.zeros(num_layers)
@@ -225,24 +216,18 @@ def init_phase(devices, cfg):
     decision = gal_mod.GalDecision(
         gal_layers=gal_layers, n_star=n_star, mu=cfg.mu,
         # a fresh list per device: a shared (r, R) would dump as a YAML alias
-        per_device=({dev.k: list(dev.eigengap) for dev in devices}
-                    if need_analysis else {}),
+        per_device={k: list(ranks) for k, (_, ranks, _) in analysis.items()},
         global_scores=list(map(float, global_scores)))
 
     for dev in devices:
         per_layer = [None] * num_layers
         if cfg.mask_on:
+            fim, _, blocks = analysis[dev.k]
             for li in range(num_layers):
-                if li in gal_layers:
-                    continue
-                r_l, cap_r_l = dev.layer_blocks[li]
-                rho = layer_ratio(r_l, cap_r_l)
-                per_layer[li] = build_mask(
-                    fisher.neuron_scores(dev.momentum_fim, li), rho)
+                if li not in gal_layers:
+                    per_layer[li] = build_mask(fisher.neuron_scores(fim, li),
+                                               layer_ratio(*blocks[li]))
         dev.mask = NeuronMask(per_layer)
-        dev.local_snapshot = [
-            None if li in gal_layers else (l.a.copy(), l.b.copy())
-            for li, l in enumerate(dev.net.layers)]
 
     # the initial GAL parameters: the weighted mean over every device
     server = ServerState(gal=decision, gal_params={
@@ -301,7 +286,8 @@ def fedavg_gal(server, updates):
         a = np.zeros_like(a0)
         b = np.zeros_like(b0)
         for n_k, params in updates:
-            if li not in params or params[li][0].shape != a.shape:
+            if (li not in params or params[li][0].shape != a.shape
+                    or params[li][1].shape != b.shape):
                 raise ValueError("update shape mismatch")
             w = n_k / m
             a += w * params[li][0]
@@ -335,35 +321,38 @@ def pad_test_sets(devices):
     return xs, ys
 
 
-def evaluate(server, devices, tests):
+def stack_local_adapters(devices, gal_layers):
+    """Every device's non-GAL adapters stacked along a leading device axis:
+    layer index -> (A (D, r, d_in), B (D, d_out, r)), copies."""
+    return {li: (np.array([dev.net.layers[li].a for dev in devices]),
+                 np.array([dev.net.layers[li].b for dev in devices]))
+            for li in range(len(devices[0].net.layers))
+            if li not in gal_layers}
+
+
+def evaluate(server, devices, tests, snapshot):
     """(personalized weighted accuracy, server-view weighted accuracy) on
     `tests`, the devices' `pad_test_sets`.
 
     The personalized view runs each device's network with the server's GAL
-    parameters; the server view also restores the non-GAL layers to their
-    post-init snapshot. Each view is one forward over every device at once,
-    over the frozen base the devices share (`build_devices`): the GAL
-    adapters apply to all, the non-GAL ones are stacked along the device
-    axis. With every layer in the GAL the views coincide and are computed
-    once."""
+    parameters; the server view also restores the non-GAL layers to the
+    post-init `snapshot` (`stack_local_adapters`). Each view is one forward
+    over every device at once, over the frozen base the devices share
+    (`build_devices`): the GAL adapters apply to all, the non-GAL ones are
+    stacked along the device axis. With every layer in the GAL the views
+    coincide and are computed once."""
     xs, ys = tests
     total = np.count_nonzero(ys >= 0)
-    local = [li for li in range(len(devices[0].net.layers))
-             if li not in server.gal_params]
 
-    def accuracy(pairs):  # pairs(li): every device's (a, b) of layer li
-        params = dict(server.gal_params)
-        for li in local:
-            a, b = zip(*pairs(li))
-            params[li] = (np.array(a), np.array(b))
+    def accuracy(local):
+        params = server.gal_params | local
         logits = forward(devices[0].net, xs, params=params).logits
         return np.count_nonzero(np.argmax(logits, axis=-1) == ys) / total
 
-    acc = accuracy(lambda li: [(dev.net.layers[li].a, dev.net.layers[li].b)
-                               for dev in devices])
-    if not local:
+    acc = accuracy(stack_local_adapters(devices, server.gal_params))
+    if not snapshot:
         return acc, acc
-    return acc, accuracy(lambda li: [dev.local_snapshot[li] for dev in devices])
+    return acc, accuracy(snapshot)
 
 
 def run(cfg):
@@ -374,6 +363,7 @@ def run(cfg):
     """
     devices = build_devices(cfg)
     server, devices = init_phase(devices, cfg)
+    snapshot = stack_local_adapters(devices, server.gal.gal_layers)
     payload = gal_payload_params(devices[0].net, server.gal.gal_layers)
     tests = pad_test_sets(devices)
 
@@ -390,7 +380,7 @@ def run(cfg):
             losses.append(loss)
         fedavg_gal(server, updates)
         down, up = comm_bytes(payload, len(sampled))
-        acc, view = evaluate(server, devices, tests)
+        acc, view = evaluate(server, devices, tests, snapshot)
         reports.append(RoundReport(
             round=t, sampled=sampled, train_loss=float(np.mean(losses)),
             weighted_test_acc=acc, server_view_acc=view,

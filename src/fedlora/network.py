@@ -8,12 +8,11 @@ layer-sensitivity noise generation needs. `backward` sums the adapter
 gradients over the rows, applies a neuron mask in closed form and returns
 each sample's diagonal-Fisher row sums, so no caller needs per-sample
 gradients. It reuses the rank-r projections x.A^T that `forward` keeps in
-its trace, and can write dA/dB straight into one flat gradient vector
-(`out=`, in `flatten_lora` order), which is how the engine's training step
-runs on a single flat adapter vector. A stack of K substitute adapters
-(`params`) broadcasts over the shared frozen W, so K probe points cost one
-pass; a (K, n, d) input pairs the k-th matrix of samples with the k-th
-adapter.
+its trace, and returns dA/dB as one flat gradient vector in `flatten_lora`
+order, which the training step and the Hessian probes use as is. A stack of
+K substitute adapters (`params`) broadcasts over the shared frozen W, so K
+probe points cost one pass; a (K, n, d) input pairs the k-th matrix of
+samples with the k-th adapter.
 """
 
 from dataclasses import dataclass
@@ -90,13 +89,16 @@ class ForwardTrace:
 class Gradients:
     """Adapter gradients of the cross-entropy loss, summed over the samples.
 
-    `fim_rows[l]` holds each sample's squared gradient w.r.t. layer l's
-    effective weight W + B.A, summed over every output row: delta_i^2 ||x||^2
-    for the pre-activation loss gradient delta and the layer input x.
+    `grad` holds every dA and dB in `flatten_lora` order; `da[l]`, `db[l]`
+    are views into it. `fim_rows[l]` holds each sample's squared gradient
+    w.r.t. layer l's effective weight W + B.A, summed over every output row:
+    delta_i^2 ||x||^2 for the pre-activation loss gradient delta and the
+    layer input x.
     `fim_rows`, `d_input` and `loss` are per sample; `fim_rows` and
     `d_input` are None from a `backward(..., adapters_only=True)`. Under a
     stack of K substitute adapters every field has a leading K axis.
     """
+    grad: np.ndarray
     da: list
     db: list
     fim_rows: list
@@ -174,8 +176,7 @@ def forward(net, x, labels=None, params=None):
     return trace
 
 
-def backward(net, x, labels, mask=None, params=None, adapters_only=False,
-             out=None):
+def backward(net, x, labels, mask=None, params=None, adapters_only=False):
     """Analytic cross-entropy gradients w.r.t. every A, B and the input, for
     one sample or a matrix with one sample per row; dA and dB are summed over
     the rows. Frozen parameters get no gradient slots. dB reuses the rank-r
@@ -194,16 +195,11 @@ def backward(net, x, labels, mask=None, params=None, adapters_only=False,
     scoring and the input-noise generation read them, so training steps and
     the stacked probes skip their cost. `da`, `db` and `loss` are the same
     either way.
-
-    `out` (optional) is a contiguous float64 vector of
-    `net.lora_param_count()` entries: dA and dB are written into it in
-    `flatten_lora` order, and `da`/`db` are views into it. It takes no
-    leading K axis, so it cannot receive the gradients of stacked `params`.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:  # a 1-D sample is the n = 1 case, with 1-D shapes
         g = backward(net, x[None], np.asarray(labels)[None], mask, params,
-                     adapters_only, out)
+                     adapters_only)
         g.loss = g.loss[..., 0]
         if not adapters_only:
             g.fim_rows = [rows[..., 0, :] for rows in g.fim_rows]
@@ -217,19 +213,16 @@ def backward(net, x, labels, mask=None, params=None, adapters_only=False,
             if masks[li].shape != (net.layers[li].d_out,):
                 raise ValueError(f"mask shape {masks[li].shape} != "
                                  f"({net.layers[li].d_out},)")
-    if out is not None:
-        end = net.lora_param_count()
-        if not (isinstance(out, np.ndarray) and out.dtype == np.float64
-                and out.shape == (end,) and out.flags.c_contiguous):
-            raise ValueError(
-                f"out must be a contiguous float64 vector of {end} entries")
 
     trace = forward(net, x, labels, params)
     inputs = [x] + trace.hidden[:-1]
     delta = trace.probs  # the trace is ours: softmax - onehot in place
     delta[trace.label_index] -= 1.0
 
-    g = Gradients(da=[None] * n_layers, db=[None] * n_layers,
+    lead = trace.logits.shape[:-2]  # () or the stack axis K
+    end = net.lora_param_count()
+    g = Gradients(grad=np.empty(lead + (end,)),
+                  da=[None] * n_layers, db=[None] * n_layers,
                   fim_rows=None if adapters_only else [None] * n_layers,
                   d_input=None, loss=trace.loss)
     for li in range(n_layers - 1, -1, -1):
@@ -246,15 +239,14 @@ def backward(net, x, labels, mask=None, params=None, adapters_only=False,
         else:
             kept = np.where(masks[li], delta, 0.0)
             kept_b = _matmul(kept, b)
-        da = db = None
-        if out is not None:  # flatten_lora order: each layer's A, then B
-            mid = end - layer.b.size
-            start = mid - layer.a.size
-            da = out[start:mid].reshape(layer.a.shape)
-            db = out[mid:end].reshape(layer.b.shape)
-            end = start
+        # flatten_lora order, walked from the end: each layer's A, then B
+        mid = end - layer.b.size
+        start = mid - layer.a.size
+        db = g.grad[..., mid:end].reshape(lead + layer.b.shape)
+        da = g.grad[..., start:mid].reshape(lead + layer.a.shape)
         g.db[li] = _matmul(kept.mT, trace.projections[li], out=db)
         g.da[li] = _matmul(kept_b.mT, inputs[li], out=da)
+        end = start
         if li > 0 or not adapters_only:
             delta = _matmul(delta, layer.w_base) + _matmul(delta_b, a)
     if not adapters_only:
@@ -288,13 +280,8 @@ def lora_slices(net):
     return slices
 
 
-def _flat(pairs):  # along the last axis: a leading stack axis is kept
-    return np.concatenate([m.reshape(*m.shape[:-2], -1)
-                           for pair in pairs for m in pair], axis=-1)
-
-
 def flatten_lora(net):
-    return _flat((l.a, l.b) for l in net.layers)
+    return np.concatenate([m.ravel() for l in net.layers for m in (l.a, l.b)])
 
 
 def lora_views(net, vecs):
@@ -319,6 +306,4 @@ def dataset_loss_grad_flat(net, xs, ys, vecs):
     (K, P) stack of flat adapter vectors, in one backward over the stack."""
     params = lora_views(net, np.asarray(vecs, dtype=np.float64))
     g = backward(net, xs, ys, params=params, adapters_only=True)
-    grads = _flat(zip(g.da, g.db))
-    grads /= len(ys)
-    return grads
+    return g.grad / len(ys)

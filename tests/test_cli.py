@@ -232,6 +232,18 @@ class TestMainEntryPoint:
         assert main(["compare", str(tmp_path / "x.csv"),
                      str(tmp_path / "y.csv")]) == 2
 
+    def test_compare_with_a_wrong_field_count_exits_two(self, tmp_path,
+                                                        capsys):
+        good = tmp_path / "good.csv"
+        good.write_text(",".join(CSV_HEADER) + "\n0,0,1.0,0.5,0.5,100,100,0\n")
+        for name, row in (("short.csv", "1,0,1.0,0.6"),
+                          ("long.csv", "1,0,1.0,0.6,0.6,100,100,0,7")):
+            bad = tmp_path / name
+            bad.write_text(good.read_text() + row + "\n")
+            assert main(["compare", str(good), str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}, line 3: field count")
+
 
 def test_smaller_aggregation_payload_when_not_all_layers_sync(tmp_path):
     # a model with more layers gives the gap rule room to exclude some; the

@@ -9,7 +9,8 @@ from fedlora import curriculum, engine
 from fedlora.engine import (DeviceState, ServerState, build_devices,
                             comm_bytes, evaluate, fedavg_gal,
                             gal_payload_params, init_phase, local_round,
-                            make_batches, pad_test_sets, run, sample_devices)
+                            make_batches, pad_test_sets, run, sample_devices,
+                            stack_local_adapters)
 from fedlora.gal import GalDecision, eigengap_rank
 from fedlora.linalg import eigh_symmetric, make_rng
 from fedlora.network import apply_update, backward, build_network, forward
@@ -147,6 +148,8 @@ class TestFedavgGal:
             fedavg_gal(server, [])
         with pytest.raises(ValueError):
             fedavg_gal(server, [(1, {0: (np.zeros((3, 3)), np.zeros((2, 2)))})])
+        with pytest.raises(ValueError):  # B broadcast from one row
+            fedavg_gal(server, [(1, {0: (np.zeros((2, 2)), np.zeros((1, 2)))})])
         with pytest.raises(ValueError):
             fedavg_gal(server, [(1, {2: (np.zeros((2, 2)), np.zeros((2, 2)))})])
 
@@ -200,12 +203,15 @@ class TestInitPhase:
         assert layer_sets["fibecfed"] == layer_sets["no-curriculum"]
         assert layer_sets["fibecfed"] == layer_sets["no-mask"]
 
-    def test_baseline_mode_skips_analysis_and_masks(self):
+    def test_baseline_mode_skips_analysis_and_masks(self, monkeypatch):
         cfg = small_cfg(mode="fedavg-lora")
+        analysed = []
+        monkeypatch.setattr(engine, "device_init_analysis",
+                            lambda dev, *args: analysed.append(dev.k))
         server, devices = init_phase(build_devices(cfg), cfg)
         assert server.gal.gal_layers == set(range(3))
         assert all(m is None for m in devices[0].mask.per_layer)
-        assert devices[0].momentum_fim is None
+        assert analysed == []
 
 
 class TestLocalRound:
@@ -322,7 +328,7 @@ class TestNonFiniteGuard:
                     if poison == "loss":
                         g.loss[-1] = np.nan
                     else:
-                        kwargs["out"][poison] = np.inf
+                        g.grad[poison] = np.inf
                 return g
 
             monkeypatch.setattr(engine, "backward", poisoned)
@@ -566,14 +572,47 @@ class TestRunContract:
         assert calls["evaluate"] == cfg.rounds
 
 
-def per_device_accuracy(server, devices):
+def run_keeping_snapshot(cfg, monkeypatch):
+    """`run(cfg)`'s server and devices, and the server-view snapshot that
+    `run` passes to every `evaluate` call: one stack, of every device's
+    non-GAL adapters as `init_phase` returned them."""
+    post_init = {}
+    snapshots = []
+
+    def init_hook(*args):
+        server, devices = init_phase(*args)
+        num_layers = len(devices[0].net.layers)
+        for li in set(range(num_layers)) - server.gal.gal_layers:
+            post_init[li] = [(dev.net.layers[li].a.copy(),
+                              dev.net.layers[li].b.copy()) for dev in devices]
+        return server, devices
+
+    def evaluate_hook(server, devices, tests, snapshot):
+        snapshots.append(snapshot)
+        return evaluate(server, devices, tests, snapshot)
+
+    monkeypatch.setattr(engine, "init_phase", init_hook)
+    monkeypatch.setattr(engine, "evaluate", evaluate_hook)
+    _, _, server, devices = run(cfg)
+    monkeypatch.setattr(engine, "init_phase", init_phase)
+    monkeypatch.setattr(engine, "evaluate", evaluate)
+    assert len(snapshots) == cfg.rounds
+    assert all(snap is snapshots[0] for snap in snapshots)
+    assert set(snapshots[0]) == set(post_init)
+    for li, pairs in post_init.items():
+        for i, (a, b) in enumerate(pairs):
+            assert np.array_equal(snapshots[0][li][0][i], a)
+            assert np.array_equal(snapshots[0][li][1][i], b)
+    return server, devices, snapshots[0]
+
+
+def per_device_accuracy(server, devices, snapshot):
     """The two views of `evaluate`, one forward per device and view."""
     hits = [0, 0]
-    for dev in devices:
-        snapshot = {li: snap for li, snap in enumerate(dev.local_snapshot)
-                    if snap is not None}
+    for i, dev in enumerate(devices):
+        own = {li: (a[i], b[i]) for li, (a, b) in snapshot.items()}
         for v, params in enumerate((server.gal_params,
-                                    server.gal_params | snapshot)):
+                                    server.gal_params | own)):
             logits = forward(dev.net, dev.test.features, params=params).logits
             hits[v] += int(np.count_nonzero(
                 np.argmax(logits, axis=1) == dev.test.labels))
@@ -581,36 +620,37 @@ def per_device_accuracy(server, devices):
     return hits[0] / total, hits[1] / total
 
 
-def randomize_adapters(server, devices, rng):
+def randomize_adapters(server, devices, snapshot, rng):
     """Large random adapters, different per device and between the live
     and snapshot copies, so that each device's predictions depend on which
     adapter meets which test rows."""
     for li, (a, b) in server.gal_params.items():
         server.gal_params[li] = (rng.normal(size=a.shape),
                                  rng.normal(size=b.shape))
-    for dev in devices:
-        for li, snap in enumerate(dev.local_snapshot):
-            if snap is not None:
-                layer = dev.net.layers[li]
-                layer.a = rng.normal(size=layer.a.shape)
-                layer.b = rng.normal(size=layer.b.shape)
-                dev.local_snapshot[li] = (rng.normal(size=layer.a.shape),
-                                          rng.normal(size=layer.b.shape))
+    for li, (a, b) in snapshot.items():
+        for dev in devices:
+            layer = dev.net.layers[li]
+            layer.a = rng.normal(size=layer.a.shape)
+            layer.b = rng.normal(size=layer.b.shape)
+        snapshot[li] = (rng.normal(size=a.shape), rng.normal(size=b.shape))
 
 
 class TestEvaluate:
     def test_personalized_view_uses_global_gal_overlay(self):
         cfg = small_cfg(mode="fedavg-lora", rounds=1)
         _, _, server, devices = run(cfg)
-        acc, view = evaluate(server, devices, pad_test_sets(devices))
+        snapshot = stack_local_adapters(devices, server.gal.gal_layers)
+        assert snapshot == {}
+        tests = pad_test_sets(devices)
+        acc, view = evaluate(server, devices, tests, snapshot)
         assert 0.0 <= acc <= 1.0
         # with every layer global and local snapshots absent, both views agree
         assert acc == view
 
-    def test_sparse_views_equal_a_per_device_loop(self):
+    def test_sparse_views_equal_a_per_device_loop(self, monkeypatch):
         cfg = small_cfg(mu=0.5, lipschitz_points=8, hessian_samples=2,
                         lr=0.03)
-        _, _, server, devices = run(cfg)
+        server, devices, snapshot = run_keeping_snapshot(cfg, monkeypatch)
         # the case the stack must handle: a strict-subset GAL, partial masks,
         # unequal test-set sizes (so padded rows) and views that differ
         assert server.gal.gal_layers == {2}
@@ -618,22 +658,21 @@ class TestEvaluate:
                    for dev in devices for m in dev.mask.per_layer)
         assert len({len(dev.test) for dev in devices}) > 1
         tests = pad_test_sets(devices)
-        want = per_device_accuracy(server, devices)
+        want = per_device_accuracy(server, devices, snapshot)
         assert want[0] != want[1]
-        assert evaluate(server, devices, tests) == want
+        assert evaluate(server, devices, tests, snapshot) == want
         rng = make_rng(7)
         for _ in range(5):
-            randomize_adapters(server, devices, rng)
-            assert evaluate(server, devices, tests) == \
-                per_device_accuracy(server, devices)
+            randomize_adapters(server, devices, snapshot, rng)
+            assert evaluate(server, devices, tests, snapshot) == \
+                per_device_accuracy(server, devices, snapshot)
 
     def test_full_sync_computes_one_view(self, monkeypatch):
         cfg = small_cfg(mode="full-sync", lipschitz_points=8,
                         hessian_samples=2)
-        _, _, server, devices = run(cfg)
+        server, devices, snapshot = run_keeping_snapshot(cfg, monkeypatch)
         assert server.gal.gal_layers == {0, 1, 2}
-        assert all(snap is None for dev in devices
-                   for snap in dev.local_snapshot)
+        assert snapshot == {}
         forwards = []
 
         def counted(*args, **kwargs):
@@ -642,9 +681,10 @@ class TestEvaluate:
 
         monkeypatch.setattr(engine, "forward", counted)
         tests = pad_test_sets(devices)
-        acc, view = evaluate(server, devices, tests)
+        acc, view = evaluate(server, devices, tests, snapshot)
         assert forwards == [tests[0].shape]
-        assert acc == view == per_device_accuracy(server, devices)[0]
+        assert acc == view
+        assert acc == per_device_accuracy(server, devices, snapshot)[0]
 
     def test_padded_rows_match_no_label(self):
         cfg = small_cfg(mu=0.5)

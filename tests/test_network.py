@@ -8,7 +8,7 @@ from fedlora.linalg import default_step, finite_diff_hessian, make_rng
 from fedlora.network import (LoraLayer, LoraNetwork, apply_update, backward,
                              build_network, clone_network,
                              dataset_loss_grad_flat, flatten_lora, forward,
-                             lora_slices, set_lora_flat)
+                             lora_slices, lora_views, set_lora_flat)
 from oracles import finite_diff_gradient
 
 
@@ -204,48 +204,43 @@ class TestBatched:
                                              getattr(full, name)):
                             assert np.array_equal(got, want)
 
-    def test_out_receives_the_gradients_in_flat_order(self, rng):
+    def test_grad_holds_the_gradients_in_flat_order(self, rng):
+        k = 4
         for _ in range(5):
             net, xs, ys = self.sample_batch(rng)
+            p = net.lora_param_count()
             mask = [rng.random(l.d_out) < 0.5 for l in net.layers]
+            stack = {li: (rng.normal(0.0, 0.3, size=(k,) + l.a.shape),
+                          rng.normal(0.0, 0.3, size=(k,) + l.b.shape))
+                     for li, l in enumerate(net.layers)}
             for m in (None, mask):
                 for x, y in ((xs, ys), (xs[0], int(ys[0]))):
-                    for lean in (False, True):
-                        fresh = backward(net, x, y, mask=m, adapters_only=lean)
-                        out = np.full(net.lora_param_count(), np.nan)
-                        got = backward(net, x, y, mask=m, adapters_only=lean,
-                                       out=out)
-                        want = np.concatenate([
-                            np.concatenate([da.ravel(), db.ravel()])
-                            for da, db in zip(fresh.da, fresh.db)])
-                        assert out.tobytes() == want.tobytes()
-                        assert np.array_equal(got.loss, fresh.loss)
-                        for name in ("da", "db"):
-                            for a, b in zip(getattr(got, name),
-                                            getattr(fresh, name)):
-                                assert a.shape == b.shape
-                                assert np.array_equal(a, b)
-                        if not lean:
-                            assert np.array_equal(got.d_input, fresh.d_input)
-                        # da and db are views into out, not copies of it
-                        out[:] = 0.0
-                        assert not any(v.any() for v in got.da + got.db)
-
-    def test_out_must_be_one_flat_vector_of_every_adapter_entry(self, rng):
-        k = 3
-        net, xs, ys = self.sample_batch(rng)
-        p = net.lora_param_count()
-        for bad in (np.empty((k, p)), np.empty((1, p)), np.empty(p - 1),
-                    np.empty(p + 1), np.empty(2 * p)[::2],
-                    np.empty(p, dtype=np.float32)):
-            with pytest.raises(ValueError):
-                backward(net, xs, ys, out=bad)
-        stack = {li: (rng.normal(0.0, 0.3, size=(k,) + l.a.shape),
-                      rng.normal(0.0, 0.3, size=(k,) + l.b.shape))
-                 for li, l in enumerate(net.layers)}
-        for out in (np.empty(p), np.empty((k, p))):
-            with pytest.raises(ValueError):
-                backward(net, xs, ys, params=stack, out=out)
+                    for params, lead in ((None, ()), (stack, (k,))):
+                        full = backward(net, x, y, mask=m, params=params)
+                        lean = backward(net, x, y, mask=m, params=params,
+                                        adapters_only=True)
+                        assert lean.grad.tobytes() == full.grad.tobytes()
+                        for g in (full, lean):
+                            assert g.grad.shape == lead + (p,)
+                            assert g.grad.dtype == np.float64
+                            # flatten_lora order: each layer's A, then B
+                            views = lora_views(net, g.grad)
+                            for li, layer in enumerate(net.layers):
+                                da, db = g.da[li], g.db[li]
+                                assert da.shape == lead + layer.a.shape
+                                assert db.shape == lead + layer.b.shape
+                                assert np.array_equal(da, views[li][0])
+                                assert np.array_equal(db, views[li][1])
+                        for i in range(k if params else 0):
+                            single = backward(
+                                net, x, y, mask=m, params={
+                                    li: (a[i], b[i])
+                                    for li, (a, b) in stack.items()})
+                            assert (full.grad[i].tobytes()
+                                    == single.grad.tobytes())
+                        # da and db are views into grad, not copies of it
+                        full.grad[...] = 0.0
+                        assert not any(v.any() for v in full.da + full.db)
 
     def test_stacked_input_pairs_each_matrix_with_its_adapter(self, rng):
         k, n = 3, 5
