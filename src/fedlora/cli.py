@@ -19,6 +19,9 @@ from .engine import run
 
 CSV_HEADER = ["round", "sampled_ids", "train_loss", "weighted_test_acc",
               "server_view_acc", "bytes_down", "bytes_up", "wall_ms"]
+NUMERIC_FIELDS = {"round": int, "train_loss": float,
+                  "weighted_test_acc": float, "server_view_acc": float,
+                  "bytes_down": int, "bytes_up": int, "wall_ms": float}
 
 
 def _fmt(x):
@@ -65,16 +68,27 @@ def run_experiment(cfg, out_dir):
 
 
 def read_metrics(path):
+    """The rows of a metrics CSV, one dict per round, with every field but
+    sampled_ids converted to its number. A header other than CSV_HEADER's
+    columns, a row whose field count differs from it and a field that does
+    not parse raise ValueError naming the file and, for a row, the line."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)  # None marks a missing or extra field
+        if sorted(reader.fieldnames or ()) != sorted(CSV_HEADER):
+            raise ValueError(f"{path}: unexpected metrics schema")
         rows = []
         for row in reader:
+            where = f"{path}, line {reader.line_num}"
             if None in row or None in row.values():
-                raise ValueError(f"{path}, line {reader.line_num}: field "
-                                 "count differs from the header")
+                raise ValueError(f"{where}: field count differs from the "
+                                 "header")
+            for key, kind in NUMERIC_FIELDS.items():
+                try:
+                    row[key] = kind(row[key])
+                except ValueError:
+                    raise ValueError(f"{where}: {key} is not a number: "
+                                     f"{row[key]!r}") from None
             rows.append(row)
-    if rows and set(rows[0]) != set(CSV_HEADER):
-        raise ValueError(f"{path}: unexpected metrics schema")
     return rows
 
 
@@ -87,16 +101,16 @@ def compare_runs(csv_a, csv_b, targets=()):
     rows_b = read_metrics(csv_b)
 
     def final_acc(rows):
-        return float(rows[-1]["weighted_test_acc"]) if rows else None
+        return rows[-1]["weighted_test_acc"] if rows else None
 
     def first_reaching(rows, target):
         for row in rows:
-            if float(row["weighted_test_acc"]) >= target:
-                return int(row["round"])
+            if row["weighted_test_acc"] >= target:
+                return row["round"]
         return None
 
     def payload(rows):
-        return sum(int(r["bytes_down"]) + int(r["bytes_up"]) for r in rows)
+        return sum(r["bytes_down"] + r["bytes_up"] for r in rows)
 
     return {
         "final_acc_a": final_acc(rows_a),

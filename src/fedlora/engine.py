@@ -87,15 +87,11 @@ def build_devices(cfg):
 
 
 def _backward(dev, idx, phase, **kwargs):
-    """`backward` over the device's training rows `idx`; a non-finite loss,
-    gradient or, where computed, Fisher row sum raises ArithmeticError
-    naming the device and the phase."""
+    """`backward` over the device's training rows `idx`; a non-finite loss
+    or gradient raises ArithmeticError naming the device and the phase."""
     g = backward(dev.net, dev.train.features[idx], dev.train.labels[idx],
                  **kwargs)
-    finite = np.isfinite(g.loss).all() and np.isfinite(g.grad).all()
-    if finite and g.fim_rows is not None:
-        finite = all(np.isfinite(rows).all() for rows in g.fim_rows)
-    if not finite:
+    if not (np.isfinite(g.loss).all() and np.isfinite(g.grad).all()):
         raise ArithmeticError(
             f"non-finite loss or gradient on device {dev.k}, {phase}")
     return g
@@ -132,30 +128,123 @@ def _spectrum_rank(hessian, lipschitz):
     return r, nonzero.size
 
 
-def device_init_analysis(dev, cfg, fim_rows):
-    """Warmup training plus the Hessian/Lipschitz eigengap analysis; returns
-    (momentum FIM, (r, R), per-layer-block (r, R)).
+def _groups(devices, rows):
+    """The devices' training rows `rows[i]` (an index array, or None for a
+    device that sits the pass out) stacked in groups of equal row count: a
+    list of (device positions, features (G, n, d), labels (G, n)), in order
+    of each group's first device. Rows are never padded: a padded row would
+    change the summed gradient and the Fisher row sums."""
+    members = {}
+    for i, idx in enumerate(rows):
+        if idx is not None:
+            members.setdefault(len(idx), []).append(i)
+    return [(np.array(pos),
+             np.array([devices[i].train.features[rows[i]] for i in pos]),
+             np.array([devices[i].train.labels[rows[i]] for i in pos]))
+            for pos in members.values()]
 
-    Runs the momentum-FIM window and warmup epochs, then computes the
-    whole-model finite-difference Hessian at the post-warmup point and the
-    Lipschitz constant of the lossless-rule base function around the warmup
-    displacement. Layer-block ranks reuse the Hessian's diagonal blocks.
-    `fim_rows` are the Fisher row sums at the initial point, which serve as
-    the momentum window's first epoch.
+
+def _step_groups(devices):
+    """The `_groups` of every warmup SGD step, in step order: step j stacks
+    batch j of each device that has one, grouped by its size."""
+    for j in range(max(len(dev.batches) for dev in devices)):
+        yield from _groups(devices, [
+            dev.batches[j] if j < len(dev.batches) else None
+            for dev in devices])
+
+
+def _stacked_backward(net, group, vecs, **kwargs):
+    """`backward` of a `_groups` group, each device at its row of `vecs`, a
+    (G, P) stack of flat adapters; returns the gradients and the positions
+    of the devices whose loss, gradient or, where computed, Fisher row sums
+    hold a non-finite entry."""
+    pos, xs, ys = group
+    g = backward(net, xs, ys, params=lora_views(net, vecs), **kwargs)
+    finite = (np.isfinite(g.loss).all(axis=-1)
+              & np.isfinite(g.grad).all(axis=-1))
+    for rows in g.fim_rows or ():
+        finite &= np.isfinite(rows).all(axis=(-2, -1))
+    return g, pos[~finite]
+
+
+def _lockstep_passes(devices, cfg, analyse):
+    """The init phase's device-independent passes, run for every device at
+    once: each is one stacked backward per `_groups` group.
+
+    The Fisher scoring pass at the initial point sets each device's batch
+    order (curriculum on) and is the momentum window's first epoch. When
+    `analyse`, the noise probes score the layers at the initial point, and
+    the momentum-FIM and warmup SGD epochs follow, each SGD step j one pass
+    over the devices grouped by the size of their batch j (a device leaves
+    once it has no batch j); the post-warmup adapters are written back to
+    the devices. Returns (momentum FIM per device, layer scores (D, L)),
+    both None unless `analyse`.
+
+    Each epoch runs every group of its passes before it raises: the error
+    names the first epoch in which a device failed and the lowest failing
+    device id in it.
     """
-    p0 = flatten_lora(dev.net)
+    net = devices[0].net
+    flat = np.array([flatten_lora(dev.net) for dev in devices])
+    whole = _groups(devices, [np.arange(dev.n_k) for dev in devices])
+    fims = scores = None
+    if analyse:
+        fims = [None] * len(devices)
+        # every device starts from the adapters of devices[0].net (init_phase)
+        noise_cfg = gal_mod.NoiseConfig(cfg.noise_budget, cfg.p_norm)
+        scores = np.empty((len(devices), len(net.layers)))
+        for pos, xs, ys in whole:
+            scores[pos] = gal_mod.device_layer_scores(net, xs, ys, noise_cfg)
 
-    fim = None
-    for epoch in range(max(cfg.warmup_epochs, cfg.momentum_epochs)):
-        phase = f"warmup epoch {epoch}"
+    epochs = max(cfg.warmup_epochs, cfg.momentum_epochs) if analyse else 1
+    for epoch in range(epochs):
+        failed = []
         if epoch < cfg.momentum_epochs:
-            if epoch > 0:
-                fim_rows = _backward(dev, np.arange(dev.n_k), phase).fim_rows
-            fim = fisher.momentum_update(fim, fisher.mean_row_fim(fim_rows),
-                                         cfg.gamma_m)
-        if epoch < cfg.warmup_epochs:
-            _train_epoch(dev, cfg, range(len(dev.batches)), phase)
+            for group in whole:
+                pos = group[0]
+                g, bad = _stacked_backward(net, group, flat[pos])
+                failed.extend(bad)
+                if epoch == 0 and cfg.curriculum_on:
+                    # batch difficulty: the sum of each sample's FIM trace
+                    difficulty = sum(rows.sum(axis=-1) for rows in g.fim_rows)
+                    for i, d in zip(pos, difficulty):
+                        devices[i].batch_order = curriculum.sort_batches(
+                            [fisher.BatchScore(j, fisher.batch_score(d[idx]))
+                             for j, idx in enumerate(devices[i].batches)])
+                if analyse:
+                    for gi, i in enumerate(pos):
+                        fims[i] = fisher.momentum_update(
+                            fims[i], fisher.mean_row_fim(
+                                [rows[gi] for rows in g.fim_rows]),
+                            cfg.gamma_m)
+        if analyse and epoch < cfg.warmup_epochs:
+            for group in _step_groups(devices):
+                pos = group[0]
+                p = flat[pos]
+                g, bad = _stacked_backward(net, group, p, adapters_only=True)
+                failed.extend(bad)
+                p -= cfg.lr * g.grad
+                flat[pos] = p
+        if failed:
+            raise ArithmeticError(
+                "non-finite loss or gradient on device "
+                f"{min(devices[i].k for i in failed)}, warmup epoch {epoch}")
 
+    if analyse:
+        for dev, p in zip(devices, flat):
+            set_lora_flat(dev.net, p)
+    return fims, scores
+
+
+def device_init_analysis(dev, cfg, p0):
+    """The Hessian/Lipschitz eigengap analysis of one post-warmup device;
+    returns ((r, R), per-layer-block (r, R)).
+
+    Computes the whole-model finite-difference Hessian at the device's
+    adapters and the Lipschitz constant of the lossless-rule base function
+    around the warmup displacement from `p0`, the initial flat adapters.
+    Layer-block ranks reuse the Hessian's diagonal blocks.
+    """
     p_t = flatten_lora(dev.net)
     sub = min(cfg.hessian_samples, dev.n_k)
     grad_fn = partial(dataset_loss_grad_flat, dev.net,
@@ -171,7 +260,7 @@ def device_init_analysis(dev, cfg, fim_rows):
         lip = gal_mod.lipschitz_estimate(
             lambda xs: xs @ hessian - grad_fn(xs + p_t), delta, radius,
             cfg.lipschitz_points, make_rng(cfg.seed, 0x11, dev.k))
-    return fim, _spectrum_rank(hessian, lip), [
+    return _spectrum_rank(hessian, lip), [
         _spectrum_rank(hessian[sa.start:sb.stop, sa.start:sb.stop], lip)
         for sa, sb in lora_slices(dev.net)]
 
@@ -179,32 +268,32 @@ def device_init_analysis(dev, cfg, fim_rows):
 def init_phase(devices, cfg):
     """Algorithm init: batch difficulty scoring, warmup + momentum FIM,
     GAL selection from aggregated sensitivity scores, neuron masks, and the
-    initial server-side GAL parameters."""
+    initial server-side GAL parameters.
+
+    The scoring, noise-probe, momentum and warmup passes run for every
+    device at once (`_lockstep_passes`); only the Hessian analysis runs per
+    device. The analysis needs every device to start from the same
+    adapters, as `build_devices` makes them."""
     for dev in devices:
         if dev.n_k == 0:
             raise ValueError(f"device {dev.k} has no local data")
 
     num_layers = len(devices[0].net.layers)
     need_analysis = cfg.gal_on or cfg.mask_on
-    noise_cfg = gal_mod.NoiseConfig(cfg.noise_budget, cfg.p_norm)
-    layer_scores = []
-    analysis = {}  # device id -> device_init_analysis result
-    for dev in devices if cfg.curriculum_on or need_analysis else []:
-        # Fisher row sums at the initial point: batch difficulty (the sum of
-        # each sample's FIM trace) and the first epoch of the momentum FIM
-        fim_rows = _backward(dev, np.arange(dev.n_k), "warmup epoch 0").fim_rows
-        if cfg.curriculum_on:
-            difficulty = sum(rows.sum(axis=1) for rows in fim_rows)
-            dev.batch_order = curriculum.sort_batches(
-                [fisher.BatchScore(j, fisher.batch_score(difficulty[idx]))
-                 for j, idx in enumerate(dev.batches)])
-        if need_analysis:
-            layer_scores.append((dev.n_k, gal_mod.device_layer_scores(
-                dev.net, dev.train.features, dev.train.labels, noise_cfg)))
-            analysis[dev.k] = device_init_analysis(dev, cfg, fim_rows)
+    p0 = flatten_lora(devices[0].net)
+    if need_analysis and any(not np.array_equal(flatten_lora(dev.net), p0)
+                             for dev in devices):
+        raise ValueError("devices do not start from the same adapters")
+    analysis = {}  # device id -> (momentum FIM, (r, R), per-block (r, R))
+    if cfg.curriculum_on or need_analysis:
+        fims, scores = _lockstep_passes(devices, cfg, need_analysis)
+    if need_analysis:
+        for dev, fim in zip(devices, fims):
+            analysis[dev.k] = (fim, *device_init_analysis(dev, cfg, p0))
 
     if cfg.gal_on:
-        global_scores = gal_mod.aggregate_layer_scores(layer_scores)
+        global_scores = gal_mod.aggregate_layer_scores(
+            [(dev.n_k, s) for dev, s in zip(devices, scores)])
         n_star = gal_mod.gal_count([(dev.n_k, *analysis[dev.k][1])
                                     for dev in devices], num_layers, cfg.mu)
         gal_layers = gal_mod.select_gal(global_scores, n_star)

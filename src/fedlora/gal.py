@@ -71,12 +71,13 @@ def layer_relative_diff(net, s, eps):
 
 def device_layer_scores(net, samples, labels, cfg):
     """Mean per-layer sensitivity over a device's local data, with the noise
-    computed per sample."""
+    computed per sample; over each device of a (G, n, d) stack of samples,
+    a (G, L) result."""
     if len(samples) == 0:
         raise ValueError("device has no local data to score")
     eps, _ = adversarial_noise(net, samples, labels, cfg)
     diffs, _ = layer_relative_diff(net, samples, eps)
-    return diffs.mean(axis=0)
+    return diffs.mean(axis=-2)
 
 
 def aggregate_layer_scores(per_device):

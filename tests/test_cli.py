@@ -244,6 +244,44 @@ class TestMainEntryPoint:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {bad}, line 3: field count")
 
+    def test_compare_with_a_wrong_header_and_no_rows_exits_two(self,
+                                                               tmp_path,
+                                                               capsys):
+        good = tmp_path / "good.csv"
+        good.write_text(",".join(CSV_HEADER) + "\n0,0,1.0,0.5,0.5,100,100,0\n")
+        for name, text in (("hdr.csv", "foo,bar\n"), ("empty.csv", ""),
+                           ("twice.csv", ",".join(CSV_HEADER * 2) + "\n")):
+            bad = tmp_path / name
+            bad.write_text(text)
+            assert main(["compare", str(good), str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {bad}: unexpected metrics schema\n"
+
+    def test_compare_with_a_non_numeric_field_exits_two(self, tmp_path,
+                                                        capsys):
+        good = tmp_path / "good.csv"
+        good.write_text(",".join(CSV_HEADER) + "\n0,0,1.0,0.5,0.5,100,100,0\n")
+        for row, key in (("1,0,1.0,abc,0.6,100,100,0", "weighted_test_acc"),
+                         ("1.5,0,1.0,0.6,0.6,100,100,0", "round"),
+                         ("1,0,1.0,0.6,0.6,100,,0", "bytes_up")):
+            bad = tmp_path / "bad.csv"
+            bad.write_text(good.read_text() + row + "\n")
+            assert main(["compare", str(good), str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}, line 3: {key} is not a "
+                                  "number")
+
+    def test_read_metrics_converts_the_numeric_fields(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(CSV_HEADER)
+                        + "\n2,1;3,1.5,0.25,0.125,800,800,0\n")
+        [row] = read_metrics(path)
+        assert row == {"round": 2, "sampled_ids": "1;3", "train_loss": 1.5,
+                       "weighted_test_acc": 0.25, "server_view_acc": 0.125,
+                       "bytes_down": 800, "bytes_up": 800, "wall_ms": 0.0}
+        assert [type(row[k]) for k in CSV_HEADER] == [
+            int, str, float, float, float, int, int, float]
+
 
 def test_smaller_aggregation_payload_when_not_all_layers_sync(tmp_path):
     # a model with more layers gives the gap rule room to exclude some; the

@@ -1,11 +1,12 @@
+import collections
 import copy
 import math
 
 import numpy as np
 import pytest
 
-from fedlora.config import ConfigError, ExperimentConfig
-from fedlora import curriculum, engine
+from fedlora.config import MODES, ConfigError, ExperimentConfig
+from fedlora import curriculum, engine, fisher
 from fedlora.engine import (DeviceState, ServerState, build_devices,
                             comm_bytes, evaluate, fedavg_gal,
                             gal_payload_params, init_phase, local_round,
@@ -13,8 +14,10 @@ from fedlora.engine import (DeviceState, ServerState, build_devices,
                             stack_local_adapters)
 from fedlora.gal import GalDecision, eigengap_rank
 from fedlora.linalg import eigh_symmetric, make_rng
-from fedlora.network import apply_update, backward, build_network, forward
-from oracles import fim_trace
+from fedlora.network import (apply_update, backward, build_network,
+                             clone_network, forward, lora_views,
+                             set_lora_flat)
+from oracles import fim_trace, per_device_init_phase
 
 
 def small_cfg(**overrides):
@@ -214,6 +217,112 @@ class TestInitPhase:
         assert analysed == []
 
 
+class TestStackedPasses:
+    """The precondition of the init phase's stacked passes: a (G, n, d)
+    stack of device samples with a (G, P) stack of flat adapters gives each
+    device the bits of its own 2-D call."""
+
+    def test_stacked_backward_equals_single_calls_bitwise(self):
+        rng = make_rng(7)
+        g_count = 3
+        shards = {dev.n_k for c in (small_cfg(), small_cfg(devices=8))
+                  for dev in build_devices(c)}
+        for cfg in (ExperimentConfig().validate(), small_cfg()):
+            net = build_network(cfg.dim, cfg.hidden_dims, cfg.num_classes,
+                                rank=cfg.lora_rank, seed=cfg.seed)
+            sizes = sorted(set(range(1, cfg.batch_size + 1)) | shards)
+            for n in sizes:
+                xs = rng.normal(size=(g_count, n, cfg.dim))
+                ys = rng.integers(0, cfg.num_classes, size=(g_count, n))
+                flat = rng.normal(0.0, 0.3,
+                                  size=(g_count, net.lora_param_count()))
+                full = backward(net, xs, ys, params=lora_views(net, flat))
+                lean = backward(net, xs, ys, params=lora_views(net, flat),
+                                adapters_only=True)
+                for i in range(g_count):
+                    # the oracle's forms: a device's own adapters for the
+                    # Fisher passes, views of its flat vector for training
+                    own = clone_network(net)
+                    set_lora_flat(own, flat[i])
+                    single = backward(own, xs[i], ys[i])
+                    p = flat[i].copy()
+                    step = backward(net, xs[i], ys[i],
+                                    params=lora_views(net, p),
+                                    adapters_only=True)
+                    for got, want in ((full, single), (lean, step)):
+                        assert np.array_equal(got.grad[i], want.grad)
+                        assert np.array_equal(got.loss[i], want.loss)
+                    for got, want in zip(full.fim_rows, single.fim_rows):
+                        assert np.array_equal(got[i], want)
+
+
+def assert_same_init(got, want):
+    """Two `init_phase` results hold the same bits: the GAL decision, the
+    server's GAL parameters and every device's batch order, mask and
+    adapters."""
+    (server, devices), (ref_server, ref_devices) = got, want
+    assert server.gal.gal_layers == ref_server.gal.gal_layers
+    assert server.gal.n_star == ref_server.gal.n_star
+    assert server.gal.per_device == ref_server.gal.per_device
+    assert server.gal.global_scores == ref_server.gal.global_scores
+    assert server.gal_params.keys() == ref_server.gal_params.keys()
+    for li, pair in server.gal_params.items():
+        for got_m, want_m in zip(pair, ref_server.gal_params[li]):
+            assert np.array_equal(got_m, want_m)
+    for dev, ref in zip(devices, ref_devices, strict=True):
+        assert dev.batch_order == ref.batch_order
+        for keep, ref_keep in zip(dev.mask.per_layer, ref.mask.per_layer,
+                                  strict=True):
+            assert (keep is None) == (ref_keep is None)
+            assert keep is None or np.array_equal(keep, ref_keep)
+        for layer, ref_layer in zip(dev.net.layers, ref.net.layers):
+            assert np.array_equal(layer.a, ref_layer.a)
+            assert np.array_equal(layer.b, ref_layer.b)
+
+
+class TestLockstepInit:
+    """`init_phase` runs the scoring, noise-probe, momentum and warmup
+    passes stacked over every device; `per_device_init_phase` is the loop
+    over the devices it replaces."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("shape", [
+        {}, {"batch_size": 1}, {"lora_rank": 1},
+        {"devices": 1, "sampled_per_round": 1},
+        {"devices": 8},  # shards 13, 13, 13, 14, 14, 10, 12, 7
+    ])
+    def test_equals_the_per_device_loop_bitwise(self, mode, shape,
+                                                monkeypatch):
+        cfg = small_cfg(mode=mode, mu=0.5, lipschitz_points=8,
+                        hessian_samples=2, **shape)
+        real = fisher.neuron_scores
+        fims = []  # the momentum FIM row sums each mask is built from
+
+        def recording(fd, layer):
+            fims[-1].append(fd.per_layer[layer].copy())
+            return real(fd, layer)
+
+        monkeypatch.setattr(fisher, "neuron_scores", recording)
+        results = []
+        for init in (per_device_init_phase, init_phase):
+            fims.append([])
+            results.append(init(build_devices(cfg), cfg))
+        want, got = results
+        if shape.get("devices") == 8:
+            sizes = [dev.n_k for dev in got[1]]
+            assert len(set(sizes)) < len(sizes)
+        assert_same_init(got, want)
+        assert len(fims[0]) == len(fims[1])
+        assert all(map(np.array_equal, *fims))
+
+    def test_analysis_needs_one_starting_point(self):
+        cfg = small_cfg()
+        devices = build_devices(cfg)
+        devices[2].net.layers[1].a[0, 0] += 1e-3
+        with pytest.raises(ValueError, match="same adapters"):
+            init_phase(devices, cfg)
+
+
 class TestLocalRound:
     def test_zero_learning_rate_returns_broadcast_params(self):
         cfg = small_cfg(mode="fedavg-lora")
@@ -362,6 +471,45 @@ class TestNonFiniteGuard:
                                  "warmup epoch 0$"), np.errstate(all="ignore"):
             init_phase(devices, cfg)
 
+
+    def test_init_phase_names_the_lowest_device_of_the_first_failing_epoch(
+            self, monkeypatch):
+        cfg = small_cfg(mode="fibecfed", mu=0.5, lipschitz_points=8,
+                        hessian_samples=2)
+        real = engine.backward
+
+        def failure(poison):
+            """The error of an init phase whose warmup step on device k's
+            batch j yields a NaN loss in epoch e, for (k, j): e in
+            `poison`."""
+            devices = build_devices(cfg)  # shards 20, 16, 12, 47
+            batches = {(k, j): devices[k].train.features[devices[k].batches[j]]
+                       for k, j in poison}
+            seen = collections.Counter()
+
+            def poisoned(net, xs, ys, **kwargs):
+                g = real(net, xs, ys, **kwargs)
+                for i, x in enumerate(xs if kwargs.get("adapters_only")
+                                      else ()):
+                    for key, rows in batches.items():
+                        if np.array_equal(x, rows):
+                            if seen[key] == poison[key]:
+                                g.loss[i, 0] = np.nan
+                            seen[key] += 1
+                return g
+
+            monkeypatch.setattr(engine, "backward", poisoned)
+            with pytest.raises(ArithmeticError) as err:
+                init_phase(devices, cfg)
+            return str(err.value)
+
+        # device 3 fails in the group of step 0, device 1 in the later
+        # group of step 3: every group runs before the epoch raises
+        assert failure({(3, 0): 0, (1, 3): 0}).endswith(
+            "on device 1, warmup epoch 0")
+        # the first failing epoch wins over the lower device id
+        assert failure({(1, 0): 2, (3, 0): 1}).endswith(
+            "on device 3, warmup epoch 1")
 
 class TestSpectrumRank:
     """`_spectrum_rank` reads eigenvalues alone; `eigh_symmetric` is the
