@@ -28,14 +28,14 @@ class PacingConfig:
 def pace_count(cfg, t, n_k):
     """Number of batches a device trains on in round t.
 
-    Ceil of the schedule value, clamped to [1, total batch count]; the exp
-    pace saturates after very few rounds by construction and is clamped
-    rather than renormalized.
+    Ceil of the schedule value, clamped to [1, total batch count], where a
+    short tail batch counts as one; the exp pace saturates after very few
+    rounds by construction and is clamped rather than renormalized.
     """
     if t < 0:
         raise ValueError("round index must be >= 0")
-    if n_k < cfg.batch_size:
-        raise ValueError("device has fewer samples than one batch")
+    if n_k < 1:
+        raise ValueError("device has no samples")
     n_batches = math.ceil(n_k / cfg.batch_size)
     at = cfg.alpha * cfg.total_rounds
     if cfg.pace == "linear":
@@ -50,11 +50,10 @@ def pace_count(cfg, t, n_k):
 
 
 def sort_batches(scores):
-    """Batch indices in ascending difficulty; ties break by batch index."""
+    """Batch indices j by ascending difficulty scores[j]; ties by index."""
     if len(scores) == 0:
         raise ValueError("no batches to sort")
-    return [bs.batch_id for bs in
-            sorted(scores, key=lambda bs: (bs.score, bs.batch_id))]
+    return sorted(range(len(scores)), key=lambda j: (scores[j], j))
 
 
 def select_batches(order, count):

@@ -173,12 +173,13 @@ def _lockstep_passes(devices, cfg, analyse):
 
     The Fisher scoring pass at the initial point sets each device's batch
     order (curriculum on) and is the momentum window's first epoch. When
-    `analyse`, the noise probes score the layers at the initial point, and
-    the momentum-FIM and warmup SGD epochs follow, each SGD step j one pass
-    over the devices grouped by the size of their batch j (a device leaves
-    once it has no batch j); the post-warmup adapters are written back to
-    the devices. Returns (momentum FIM per device, layer scores (D, L)),
-    both None unless `analyse`.
+    `analyse`, the noise probes score the layers at the initial point (GAL
+    on), and the momentum-FIM and warmup SGD epochs follow, each SGD step j
+    one pass over the devices grouped by the size of their batch j (a device
+    leaves once it has no batch j); the post-warmup adapters are written
+    back to the devices. Returns the momentum FIM, one (D, d_out, 1) row-sum
+    stack per layer, and the layer scores (D, L), each None if its pass did
+    not run.
 
     Each epoch runs every group of its passes before it raises: the error
     names the first epoch in which a device failed and the lowest failing
@@ -187,9 +188,10 @@ def _lockstep_passes(devices, cfg, analyse):
     net = devices[0].net
     flat = np.array([flatten_lora(dev.net) for dev in devices])
     whole = _groups(devices, [np.arange(dev.n_k) for dev in devices])
-    fims = scores = None
+    fim = scores = None
     if analyse:
-        fims = [None] * len(devices)
+        fim = [np.empty((len(devices), l.d_out, 1)) for l in net.layers]
+    if analyse and cfg.gal_on:
         # every device starts from the adapters of devices[0].net (init_phase)
         noise_cfg = gal_mod.NoiseConfig(cfg.noise_budget, cfg.p_norm)
         scores = np.empty((len(devices), len(net.layers)))
@@ -205,18 +207,19 @@ def _lockstep_passes(devices, cfg, analyse):
                 g, bad = _stacked_backward(net, group, flat[pos])
                 failed.extend(bad)
                 if epoch == 0 and cfg.curriculum_on:
-                    # batch difficulty: the sum of each sample's FIM trace
+                    # batch difficulty: each sample's FIM trace, summed left
+                    # to right (np.sum's pairwise order may reorder near-ties)
                     difficulty = sum(rows.sum(axis=-1) for rows in g.fim_rows)
                     for i, d in zip(pos, difficulty):
                         devices[i].batch_order = curriculum.sort_batches(
-                            [fisher.BatchScore(j, fisher.batch_score(d[idx]))
-                             for j, idx in enumerate(devices[i].batches)])
-                if analyse:
-                    for gi, i in enumerate(pos):
-                        fims[i] = fisher.momentum_update(
-                            fims[i], fisher.mean_row_fim(
-                                [rows[gi] for rows in g.fim_rows]),
-                            cfg.gamma_m)
+                            [sum(d[idx]) for idx in devices[i].batches])
+                if analyse:  # the epoch's device FIM: mean per-sample rows
+                    mixed = fisher.momentum_update(
+                        [f[pos] for f in fim] if epoch else None,
+                        [rows.mean(axis=-2)[..., None] for rows in g.fim_rows],
+                        cfg.gamma_m)
+                    for f, m in zip(fim, mixed):
+                        f[pos] = m
         if analyse and epoch < cfg.warmup_epochs:
             for group in _step_groups(devices):
                 pos = group[0]
@@ -233,7 +236,7 @@ def _lockstep_passes(devices, cfg, analyse):
     if analyse:
         for dev, p in zip(devices, flat):
             set_lora_flat(dev.net, p)
-    return fims, scores
+    return fim, scores
 
 
 def device_init_analysis(dev, cfg, p0):
@@ -284,17 +287,16 @@ def init_phase(devices, cfg):
     if need_analysis and any(not np.array_equal(flatten_lora(dev.net), p0)
                              for dev in devices):
         raise ValueError("devices do not start from the same adapters")
-    analysis = {}  # device id -> (momentum FIM, (r, R), per-block (r, R))
     if cfg.curriculum_on or need_analysis:
-        fims, scores = _lockstep_passes(devices, cfg, need_analysis)
-    if need_analysis:
-        for dev, fim in zip(devices, fims):
-            analysis[dev.k] = (fim, *device_init_analysis(dev, cfg, p0))
+        fim, scores = _lockstep_passes(devices, cfg, need_analysis)
+    # device id -> ((r, R), per-block (r, R))
+    analysis = {dev.k: device_init_analysis(dev, cfg, p0)
+                for dev in (devices if need_analysis else ())}
 
     if cfg.gal_on:
         global_scores = gal_mod.aggregate_layer_scores(
             [(dev.n_k, s) for dev, s in zip(devices, scores)])
-        n_star = gal_mod.gal_count([(dev.n_k, *analysis[dev.k][1])
+        n_star = gal_mod.gal_count([(dev.n_k, *analysis[dev.k][0])
                                     for dev in devices], num_layers, cfg.mu)
         gal_layers = gal_mod.select_gal(global_scores, n_star)
     else:
@@ -303,20 +305,19 @@ def init_phase(devices, cfg):
         n_star = num_layers
 
     decision = gal_mod.GalDecision(
-        gal_layers=gal_layers, n_star=n_star, mu=cfg.mu,
+        gal_layers=gal_layers, n_star=n_star,
         # a fresh list per device: a shared (r, R) would dump as a YAML alias
-        per_device={k: list(ranks) for k, (_, ranks, _) in analysis.items()},
+        per_device={k: list(ranks) for k, (ranks, _) in analysis.items()},
         global_scores=list(map(float, global_scores)))
 
     for dev in devices:
-        per_layer = [None] * num_layers
-        if cfg.mask_on:
-            fim, _, blocks = analysis[dev.k]
-            for li in range(num_layers):
-                if li not in gal_layers:
-                    per_layer[li] = build_mask(fisher.neuron_scores(fim, li),
-                                               layer_ratio(*blocks[li]))
-        dev.mask = NeuronMask(per_layer)
+        dev.mask = NeuronMask([None] * num_layers)
+    for li in range(num_layers) if cfg.mask_on else ():
+        if li not in gal_layers:
+            importance = fisher.neuron_scores(fim, li)  # (D, d_out)
+            for dev, row in zip(devices, importance):
+                dev.mask.per_layer[li] = build_mask(
+                    row, layer_ratio(*analysis[dev.k][1][li]))
 
     # the initial GAL parameters: the weighted mean over every device
     server = ServerState(gal=decision, gal_params={

@@ -29,7 +29,6 @@ class NoiseConfig:
 class GalDecision:
     gal_layers: set
     n_star: int
-    mu: float
     per_device: dict = field(default_factory=dict)  # k -> [r_k, R_k]
     global_scores: list = field(default_factory=list)
 

@@ -32,10 +32,11 @@ def finite_diff_gradient(f, x, h=None):
     return g
 
 
-def fim_trace(fd):
-    """Trace of a `fisher.FimDiag`: the sum of its entries over every layer.
-    Of one sample's full diagonal it is that sample's difficulty score."""
-    return float(sum(v.sum() for v in fd.per_layer))
+def fim_trace(fim):
+    """Trace of a FIM (one array per layer): the sum of its entries over
+    every layer. Of one sample's full diagonal it is that sample's
+    difficulty score."""
+    return float(sum(v.sum() for v in fim))
 
 
 def per_device_init_phase(devices, cfg):
@@ -59,8 +60,7 @@ def per_device_init_phase(devices, cfg):
         if cfg.curriculum_on:
             difficulty = sum(rows.sum(axis=1) for rows in fim_rows)
             dev.batch_order = curriculum.sort_batches(
-                [fisher.BatchScore(j, fisher.batch_score(difficulty[idx]))
-                 for j, idx in enumerate(dev.batches)])
+                [float(sum(difficulty[idx])) for idx in dev.batches])
         if need_analysis:
             layer_scores.append((dev.n_k, gal.device_layer_scores(
                 dev.net, dev.train.features, dev.train.labels, noise_cfg)))
@@ -77,7 +77,7 @@ def per_device_init_phase(devices, cfg):
         n_star = num_layers
 
     decision = gal.GalDecision(
-        gal_layers=gal_layers, n_star=n_star, mu=cfg.mu,
+        gal_layers=gal_layers, n_star=n_star,
         per_device={k: list(ranks) for k, (_, ranks, _) in analysis.items()},
         global_scores=list(map(float, global_scores)))
 
@@ -111,8 +111,9 @@ def _device_init_analysis(dev, cfg, fim_rows):
             if epoch > 0:
                 fim_rows = engine._backward(dev, np.arange(dev.n_k),
                                             phase).fim_rows
-            fim = fisher.momentum_update(fim, fisher.mean_row_fim(fim_rows),
-                                         cfg.gamma_m)
+            fim = fisher.momentum_update(
+                fim, [rows.mean(axis=0)[:, None] for rows in fim_rows],
+                cfg.gamma_m)
         if epoch < cfg.warmup_epochs:
             engine._train_epoch(dev, cfg, range(len(dev.batches)), phase)
 

@@ -65,7 +65,7 @@ def test_criterion_1_gradient_and_fim_oracle():
             gw = full_weight_grad_oracle(net, li, x, label)
             want = gw ** 2
             tol = np.maximum(1e-4, 1e-3 * np.abs(want))
-            ok &= bool(np.all(np.abs(fim.per_layer[li] - want) <= tol))
+            ok &= bool(np.all(np.abs(fim[li].ravel() - want) <= tol))
     report(1, "gradient and FIM vs finite-difference oracle", ok)
 
 
@@ -141,7 +141,7 @@ def test_criterion_5_fedavg_oracle_and_baseline_equivalence():
         params = {li: (rng.normal(size=sa), rng.normal(size=sb))
                   for li, (sa, sb) in shapes.items()}
         server = ServerState(
-            gal=GalDecision(gal_layers=set(shapes), n_star=2, mu=1.0),
+            gal=GalDecision(gal_layers=set(shapes), n_star=2),
             gal_params=params)
         updates = []
         for _ in range(int(rng.integers(1, 8))):

@@ -5,9 +5,9 @@ import pytest
 
 from fedlora.cli import (CSV_HEADER, compare_runs, main, read_metrics,
                          render_metrics_csv, run_experiment)
-from fedlora.config import (ConfigError, ExperimentConfig, load_config,
-                            parse_config)
-from fedlora.engine import RoundReport
+from fedlora.config import (MODES, ConfigError, ExperimentConfig,
+                            load_config, parse_config)
+from fedlora.engine import RoundReport, build_devices
 
 
 def small_yaml(**overrides):
@@ -207,6 +207,24 @@ class TestMainEntryPoint:
         out = tmp_path / "o"
         assert main(["run", str(cfg_path), "--mode", "no-curriculum",
                      "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("fraction", [0.05, 0.1])
+    def test_shards_smaller_than_one_batch_run_in_every_mode(
+            self, tmp_path, capsys, mode, fraction):
+        # the CI smoke config with 1-5 training rows per device: a device
+        # with fewer than batch_size rows trains on one short batch
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(
+            "devices: 4\nsampled_per_round: 2\nrounds: 3\nper_class: 30\n"
+            "num_classes: 4\ndim: 6\nhidden_dims: [5, 4]\nbatch_size: 4\n"
+            "lipschitz_points: 8\nhessian_samples: 2\nseed: 1\n"
+            f"train_fraction: {fraction}\n")
+        cfg = load_config(cfg_path)
+        assert any(dev.n_k < cfg.batch_size for dev in build_devices(cfg))
+        code = main(["run", str(cfg_path), "--mode", mode,
+                     "--out", str(tmp_path / "o")])
+        assert code == 0, capsys.readouterr().err
 
     def test_too_many_devices_for_the_partition_exits_one(self, tmp_path,
                                                           capsys):

@@ -3,7 +3,6 @@ import pytest
 
 from fedlora.curriculum import (PacingConfig, pace_count, select_batches,
                                 sort_batches)
-from fedlora.fisher import BatchScore
 from fedlora.linalg import make_rng
 
 
@@ -63,9 +62,15 @@ class TestPaceCount:
         with pytest.raises(ValueError):
             pace_count(table_cfg(), -1, 80)
 
-    def test_undersized_device_rejected(self):
+    def test_device_smaller_than_one_batch_has_one(self):
+        # make_batches gives such a device one short batch
+        for n_k in range(1, 8):
+            for t in (0, 50, 500):
+                assert pace_count(table_cfg(), t, n_k) == 1
+
+    def test_empty_device_rejected(self):
         with pytest.raises(ValueError):
-            pace_count(table_cfg(), 0, 5)
+            pace_count(table_cfg(), 0, 0)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -78,15 +83,13 @@ class TestPaceCount:
 
 class TestSortBatches:
     def test_ascending_by_score(self):
-        scores = [BatchScore(0, 3.0), BatchScore(1, 1.0), BatchScore(2, 2.0)]
-        assert sort_batches(scores) == [1, 2, 0]
+        assert sort_batches([3.0, 1.0, 2.0]) == [1, 2, 0]
 
     def test_ties_keep_batch_index_order(self):
-        scores = [BatchScore(i, 7.0) for i in range(5)]
-        assert sort_batches(scores) == [0, 1, 2, 3, 4]
+        assert sort_batches([7.0] * 5) == [0, 1, 2, 3, 4]
 
     def test_reverses_strictly_descending_scores(self):
-        scores = [BatchScore(i, float(10 - i)) for i in range(4)]
+        scores = [float(10 - i) for i in range(4)]
         assert sort_batches(scores) == [3, 2, 1, 0]
 
     def test_empty_rejected(self):
@@ -102,8 +105,7 @@ class TestSelectBatches:
         assert select_batches([2, 0, 1], 1) == [2]
 
     def test_composition_with_sort(self):
-        scores = [BatchScore(0, 3.0), BatchScore(1, 1.0), BatchScore(2, 2.0)]
-        assert set(select_batches(sort_batches(scores), 2)) == {1, 2}
+        assert set(select_batches(sort_batches([3.0, 1.0, 2.0]), 2)) == {1, 2}
 
     def test_out_of_range_count_rejected(self):
         with pytest.raises(ValueError):

@@ -97,7 +97,7 @@ class TestFedavgGal:
     def fake_server(self, shapes, rng):
         params = {li: (rng.normal(size=sa), rng.normal(size=sb))
                   for li, (sa, sb) in shapes.items()}
-        decision = GalDecision(gal_layers=set(shapes), n_star=len(shapes), mu=1.0)
+        decision = GalDecision(gal_layers=set(shapes), n_star=len(shapes))
         return ServerState(gal=decision, gal_params=params)
 
     def test_matches_brute_force_weighted_mean(self):
@@ -206,6 +206,26 @@ class TestInitPhase:
         assert layer_sets["fibecfed"] == layer_sets["no-curriculum"]
         assert layer_sets["fibecfed"] == layer_sets["no-mask"]
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_noise_probes_run_only_with_the_gal_on(self, mode, monkeypatch):
+        # one stacked probe per group of equal-sized shards; full-sync keeps
+        # every layer global and has no use for the layer scores
+        cfg = small_cfg(mode=mode)
+        real = engine.gal_mod.device_layer_scores
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(engine.gal_mod, "device_layer_scores", counting)
+        devices = build_devices(cfg)
+        init_phase(devices, cfg)
+        groups = len({dev.n_k for dev in devices})
+        want = {"fibecfed": groups, "no-curriculum": groups,
+                "no-mask": groups, "full-sync": 0, "fedavg-lora": 0}
+        assert len(calls) == want[mode]
+
     def test_baseline_mode_skips_analysis_and_masks(self, monkeypatch):
         cfg = small_cfg(mode="fedavg-lora")
         analysed = []
@@ -296,24 +316,30 @@ class TestLockstepInit:
         cfg = small_cfg(mode=mode, mu=0.5, lipschitz_points=8,
                         hessian_samples=2, **shape)
         real = fisher.neuron_scores
-        fims = []  # the momentum FIM row sums each mask is built from
+        # the momentum FIM row sums each mask is built from: layer -> one
+        # (d_out, 1) array per device, in device order. The loop asks for one
+        # device's FIM at a time, the engine for a (D, d_out, 1) stack.
+        fims = []
 
-        def recording(fd, layer):
-            fims[-1].append(fd.per_layer[layer].copy())
-            return real(fd, layer)
+        def recording(fim, layer):
+            rows = fim[layer].reshape((-1,) + fim[layer].shape[-2:])
+            fims[-1].setdefault(layer, []).extend(rows.copy())
+            return real(fim, layer)
 
         monkeypatch.setattr(fisher, "neuron_scores", recording)
         results = []
         for init in (per_device_init_phase, init_phase):
-            fims.append([])
+            fims.append({})
             results.append(init(build_devices(cfg), cfg))
         want, got = results
         if shape.get("devices") == 8:
             sizes = [dev.n_k for dev in got[1]]
             assert len(set(sizes)) < len(sizes)
         assert_same_init(got, want)
-        assert len(fims[0]) == len(fims[1])
-        assert all(map(np.array_equal, *fims))
+        assert fims[0].keys() == fims[1].keys()
+        for layer, rows in fims[0].items():
+            assert len(rows) == len(fims[1][layer]) == cfg.devices
+            assert all(map(np.array_equal, rows, fims[1][layer]))
 
     def test_analysis_needs_one_starting_point(self):
         cfg = small_cfg()

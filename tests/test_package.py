@@ -25,14 +25,14 @@ def _names(node):
 
 
 def test_every_function_is_reached_from_src():
-    # a function that only tests call is a test oracle: it belongs in
-    # tests/oracles.py; docstring mentions do not count as a use
+    # a function or class that only tests use is a test oracle: it belongs
+    # in tests/oracles.py; docstring mentions do not count as a use
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in Path(fedlora.__file__).parent.glob("*.py")}
     unreached = sorted(
         f"{module}.{fn.name}"
         for module, tree in trees.items() for fn in tree.body
-        if isinstance(fn, ast.FunctionDef)
+        if isinstance(fn, (ast.FunctionDef, ast.ClassDef))
         and not any(fn.name in _names(node) for other in trees.values()
                     for node in other.body if node is not fn))
     assert unreached == BENCHMARK_PINNED
