@@ -18,20 +18,6 @@ class Dataset:
         return self.labels.size
 
 
-@dataclass
-class PartitionConfig:
-    concentration: float
-    num_devices: int
-    min_shard: int = 8     # every device keeps at least one batch of data
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.concentration <= 0:
-            raise ValueError("Dirichlet concentration must be positive")
-        if self.num_devices < 1:
-            raise ValueError("need at least one device")
-
-
 def generate(num_classes, per_class, dim, class_sep, rng):
     """Gaussian blobs with unit covariance; class means are random directions
     scaled so every pair is at least `class_sep` apart."""
@@ -57,39 +43,40 @@ def generate(num_classes, per_class, dim, class_sep, rng):
     return Dataset(feats[perm], labels[perm], num_classes)
 
 
-def dirichlet_partition(ds, cfg):
+def dirichlet_partition(ds, num_devices, concentration, min_shard, seed):
     """Split a dataset into `num_devices` disjoint, exhaustive shards.
 
     For each class, proportions drawn from Dirichlet(concentration) allocate
     that class's samples across devices; a reallocation pass then moves
     samples from the largest shards until every device holds at least
-    `min_shard` samples.
+    `min_shard` samples. `ExperimentConfig.validate()` checks the settings;
+    only the checks that depend on the dataset's size are made here.
     """
-    if cfg.num_devices > len(ds):
+    if num_devices > len(ds):
         raise ValueError("more devices than samples")
-    rng = make_rng(cfg.seed, 0xD1)
-    shards = [[] for _ in range(cfg.num_devices)]
+    rng = make_rng(seed, 0xD1)
+    shards = [[] for _ in range(num_devices)]
     for c in range(ds.num_classes):
         idx = np.flatnonzero(ds.labels == c)
         rng.shuffle(idx)
-        props = rng.dirichlet(np.full(cfg.num_devices, cfg.concentration))
+        props = rng.dirichlet(np.full(num_devices, concentration))
         counts = np.floor(props * idx.size).astype(int)
         # hand out the rounding remainder to the largest proportions
         for k in np.argsort(-props)[: idx.size - counts.sum()]:
             counts[k] += 1
         off = 0
-        for k in range(cfg.num_devices):
+        for k in range(num_devices):
             shards[k].extend(idx[off:off + counts[k]].tolist())
             off += counts[k]
-    if cfg.min_shard * cfg.num_devices > len(ds):
+    if min_shard * num_devices > len(ds):
         raise ValueError("minimum shard size infeasible for this dataset")
     # move samples from the largest shard until everyone has enough
     while True:
         sizes = [len(s) for s in shards]
-        needy = min(range(cfg.num_devices), key=lambda k: sizes[k])
-        if sizes[needy] >= cfg.min_shard:
+        needy = min(range(num_devices), key=lambda k: sizes[k])
+        if sizes[needy] >= min_shard:
             break
-        donor = max(range(cfg.num_devices), key=lambda k: sizes[k])
+        donor = max(range(num_devices), key=lambda k: sizes[k])
         shards[needy].append(shards[donor].pop())
     return [Dataset(ds.features[np.array(s, dtype=int)],
                     ds.labels[np.array(s, dtype=int)], ds.num_classes)

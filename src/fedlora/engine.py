@@ -16,8 +16,8 @@ from functools import partial
 import numpy as np
 
 from . import curriculum, fisher, gal as gal_mod
-from .data import PartitionConfig, dirichlet_partition, generate, split
-from .linalg import eigvals_symmetric, finite_diff_hessian, make_rng
+from .data import dirichlet_partition, generate, split
+from .linalg import finite_diff_hessian, make_rng
 from .masking import NeuronMask, build_mask, layer_ratio, masked_param_count
 from .network import (backward, build_network, clone_network,
                       dataset_loss_grad_flat, flatten_lora, forward,
@@ -71,9 +71,8 @@ def build_devices(cfg):
     weights and copy its adapters."""
     ds = generate(cfg.num_classes, cfg.per_class, cfg.dim, cfg.class_sep,
                   make_rng(cfg.seed, 0xDA))
-    shards = dirichlet_partition(ds, PartitionConfig(
-        concentration=cfg.dirichlet_alpha, num_devices=cfg.devices,
-        min_shard=cfg.min_shard, seed=cfg.seed))
+    shards = dirichlet_partition(ds, cfg.devices, cfg.dirichlet_alpha,
+                                 cfg.min_shard, cfg.seed)
     base = build_network(cfg.dim, cfg.hidden_dims, cfg.num_classes,
                          rank=cfg.lora_rank, seed=cfg.seed)
     devices = []
@@ -118,8 +117,9 @@ def _train_epoch(dev, cfg, batch_ids, phase, mask=None):
 
 
 def _spectrum_rank(hessian, lipschitz):
-    """(r, R) from the eigengap rule over the nonzero part of the spectrum."""
-    evals = eigvals_symmetric(hessian)
+    """(r, R) from the eigengap rule over the nonzero part of the spectrum
+    of a Hessian that `finite_diff_hessian` made finite and symmetric."""
+    evals = np.linalg.eigvalsh(hessian)
     cutoff = RANK_EPS * max(np.max(np.abs(evals)), 1e-300)
     nonzero = evals[np.abs(evals) > cutoff]
     if nonzero.size == 0:
@@ -167,19 +167,20 @@ def _stacked_backward(net, group, vecs, **kwargs):
     return g, pos[~finite]
 
 
-def _lockstep_passes(devices, cfg, analyse):
+def _lockstep_passes(devices, cfg):
     """The init phase's device-independent passes, run for every device at
     once: each is one stacked backward per `_groups` group.
 
     The Fisher scoring pass at the initial point sets each device's batch
-    order (curriculum on) and is the momentum window's first epoch. When
-    `analyse`, the noise probes score the layers at the initial point (GAL
-    on), and the momentum-FIM and warmup SGD epochs follow, each SGD step j
-    one pass over the devices grouped by the size of their batch j (a device
-    leaves once it has no batch j); the post-warmup adapters are written
-    back to the devices. Returns the momentum FIM, one (D, d_out, 1) row-sum
-    stack per layer, and the layer scores (D, L), each None if its pass did
-    not run.
+    order (curriculum on) and is the momentum window's first epoch. The
+    noise probes score the layers at the initial point (GAL on); the
+    momentum-FIM and warmup SGD epochs follow, each SGD step j one pass over
+    the devices grouped by the size of their batch j (a device leaves once
+    it has no batch j), and the post-warmup adapters are written back.
+    Returns the momentum FIM, one (D, d_out, 1) row-sum stack per layer, and
+    the layer scores (D, L), None with the GAL off. `init_phase` runs these
+    passes only with the GAL or the masks on: no mode has the curriculum on
+    with both off.
 
     Each epoch runs every group of its passes before it raises: the error
     names the first epoch in which a device failed and the lowest failing
@@ -188,18 +189,16 @@ def _lockstep_passes(devices, cfg, analyse):
     net = devices[0].net
     flat = np.array([flatten_lora(dev.net) for dev in devices])
     whole = _groups(devices, [np.arange(dev.n_k) for dev in devices])
-    fim = scores = None
-    if analyse:
-        fim = [np.empty((len(devices), l.d_out, 1)) for l in net.layers]
-    if analyse and cfg.gal_on:
+    fim = [np.empty((len(devices), l.d_out, 1)) for l in net.layers]
+    scores = None
+    if cfg.gal_on:
         # every device starts from the adapters of devices[0].net (init_phase)
-        noise_cfg = gal_mod.NoiseConfig(cfg.noise_budget, cfg.p_norm)
         scores = np.empty((len(devices), len(net.layers)))
         for pos, xs, ys in whole:
-            scores[pos] = gal_mod.device_layer_scores(net, xs, ys, noise_cfg)
+            scores[pos] = gal_mod.device_layer_scores(
+                net, xs, ys, cfg.noise_budget, cfg.p_norm)
 
-    epochs = max(cfg.warmup_epochs, cfg.momentum_epochs) if analyse else 1
-    for epoch in range(epochs):
+    for epoch in range(max(cfg.warmup_epochs, cfg.momentum_epochs)):
         failed = []
         if epoch < cfg.momentum_epochs:
             for group in whole:
@@ -213,14 +212,14 @@ def _lockstep_passes(devices, cfg, analyse):
                     for i, d in zip(pos, difficulty):
                         devices[i].batch_order = curriculum.sort_batches(
                             [sum(d[idx]) for idx in devices[i].batches])
-                if analyse:  # the epoch's device FIM: mean per-sample rows
-                    mixed = fisher.momentum_update(
-                        [f[pos] for f in fim] if epoch else None,
-                        [rows.mean(axis=-2)[..., None] for rows in g.fim_rows],
-                        cfg.gamma_m)
-                    for f, m in zip(fim, mixed):
-                        f[pos] = m
-        if analyse and epoch < cfg.warmup_epochs:
+                # the epoch's device FIM: mean per-sample rows
+                mixed = fisher.momentum_update(
+                    [f[pos] for f in fim] if epoch else None,
+                    [rows.mean(axis=-2)[..., None] for rows in g.fim_rows],
+                    cfg.gamma_m)
+                for f, m in zip(fim, mixed):
+                    f[pos] = m
+        if epoch < cfg.warmup_epochs:
             for group in _step_groups(devices):
                 pos = group[0]
                 p = flat[pos]
@@ -233,9 +232,8 @@ def _lockstep_passes(devices, cfg, analyse):
                 "non-finite loss or gradient on device "
                 f"{min(devices[i].k for i in failed)}, warmup epoch {epoch}")
 
-    if analyse:
-        for dev, p in zip(devices, flat):
-            set_lora_flat(dev.net, p)
+    for dev, p in zip(devices, flat):
+        set_lora_flat(dev.net, p)
     return fim, scores
 
 
@@ -287,8 +285,8 @@ def init_phase(devices, cfg):
     if need_analysis and any(not np.array_equal(flatten_lora(dev.net), p0)
                              for dev in devices):
         raise ValueError("devices do not start from the same adapters")
-    if cfg.curriculum_on or need_analysis:
-        fim, scores = _lockstep_passes(devices, cfg, need_analysis)
+    if need_analysis:
+        fim, scores = _lockstep_passes(devices, cfg)
     # device id -> ((r, R), per-block (r, R))
     analysis = {dev.k: device_init_analysis(dev, cfg, p0)
                 for dev in (devices if need_analysis else ())}

@@ -10,22 +10,6 @@ from .network import backward, forward
 
 
 @dataclass
-class NoiseConfig:
-    noise_budget: float      # perturbation size in the p-norm
-    p_norm: float = 2.0
-
-    def __post_init__(self):
-        if self.noise_budget <= 0:
-            raise ValueError("noise budget must be positive")
-        if self.p_norm <= 1:
-            raise ValueError("p norm must be > 1 for a finite dual exponent")
-
-    @property
-    def q_norm(self):
-        return self.p_norm / (self.p_norm - 1.0)
-
-
-@dataclass
 class GalDecision:
     gal_layers: set
     n_star: int
@@ -33,21 +17,22 @@ class GalDecision:
     global_scores: list = field(default_factory=list)
 
 
-def adversarial_noise(net, s, label, cfg):
+def adversarial_noise(net, s, label, noise_budget, p_norm):
     """Worst-case input perturbation of p-norm size `noise_budget`, for one
     sample or for each row of a sample matrix.
 
-    Closed form of the linearized dual problem:
+    Closed form of the linearized dual problem, q = p/(p-1) its dual
+    exponent (`validate()` keeps the budget > 0 and p > 1):
     eps = budget * sign(g)|g|^(q-1) / (||g||_q^q)^(1/p), which reduces to
     budget * g/||g||_2 at p = q = 2. Returns (eps, degenerate_flag); the flag
     marks a zero gradient, in which case eps is the zero vector.
     """
     g = backward(net, s, label).d_input
-    q = cfg.q_norm
+    q = p_norm / (p_norm - 1.0)
     gq = np.sum(np.abs(g) ** q, axis=-1, keepdims=True)
     degenerate = gq == 0.0
-    eps = (cfg.noise_budget * np.sign(g) * np.abs(g) ** (q - 1.0)
-           / np.where(degenerate, 1.0, gq) ** (1.0 / cfg.p_norm))
+    eps = (noise_budget * np.sign(g) * np.abs(g) ** (q - 1.0)
+           / np.where(degenerate, 1.0, gq) ** (1.0 / p_norm))
     return eps, degenerate[..., 0]
 
 
@@ -68,13 +53,13 @@ def layer_relative_diff(net, s, eps):
     return diffs, zero.any(axis=-1)
 
 
-def device_layer_scores(net, samples, labels, cfg):
+def device_layer_scores(net, samples, labels, noise_budget, p_norm):
     """Mean per-layer sensitivity over a device's local data, with the noise
     computed per sample; over each device of a (G, n, d) stack of samples,
     a (G, L) result."""
     if len(samples) == 0:
         raise ValueError("device has no local data to score")
-    eps, _ = adversarial_noise(net, samples, labels, cfg)
+    eps, _ = adversarial_noise(net, samples, labels, noise_budget, p_norm)
     diffs, _ = layer_relative_diff(net, samples, eps)
     return diffs.mean(axis=-2)
 

@@ -1,6 +1,6 @@
-"""Dense numeric substrate: seeded RNG streams, the eigenvalues of a
-symmetric matrix (and its full eigendecomposition, the reference they are
-tested against), and the finite-difference Hessian of a gradient map."""
+"""Dense numeric substrate: seeded RNG streams, the checked
+eigendecomposition of a symmetric matrix, and the finite-difference Hessian
+of a gradient map, finite and exactly symmetric by construction."""
 
 import numpy as np
 
@@ -35,13 +35,6 @@ def eigh_symmetric(m):
     return w, v
 
 
-def eigvals_symmetric(m):
-    """Eigenvalues, ascending, of a symmetric matrix, without the
-    eigenvectors: the spectrum `eigh_symmetric` gives, at a fraction of its
-    cost, up to rounding."""
-    return np.linalg.eigvalsh(_checked_symmetric(m))
-
-
 def default_step(x):
     """Finite-difference step scaled by the magnitude of the argument."""
     x = np.asarray(x, dtype=np.float64)
@@ -55,6 +48,8 @@ def finite_diff_hessian(grad, x, h=None):
     row. It is called once per side of the stencil, on the rows x + h*e_i
     and then on the rows x - h*e_i, each side a view into one (2, P, P)
     buffer; the result is the symmetrized Jacobian, exact for linear maps.
+    A non-finite gradient row or result (finite sides can still overflow in
+    (gp - gm) / 2h) raises ArithmeticError.
     """
     x = np.asarray(x, dtype=np.float64)
     if h is None:
@@ -77,4 +72,6 @@ def finite_diff_hessian(grad, x, h=None):
     jac /= 2.0 * h
     jac += jac.T  # numpy buffers the overlapping transpose
     jac *= 0.5
+    if not np.isfinite(jac).all():
+        raise ArithmeticError("non-finite Hessian entry")
     return jac

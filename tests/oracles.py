@@ -51,7 +51,6 @@ def per_device_init_phase(devices, cfg):
 
     num_layers = len(devices[0].net.layers)
     need_analysis = cfg.gal_on or cfg.mask_on
-    noise_cfg = gal.NoiseConfig(cfg.noise_budget, cfg.p_norm)
     layer_scores = []
     analysis = {}
     for dev in devices if cfg.curriculum_on or need_analysis else []:
@@ -63,7 +62,8 @@ def per_device_init_phase(devices, cfg):
                 [float(sum(difficulty[idx])) for idx in dev.batches])
         if need_analysis:
             layer_scores.append((dev.n_k, gal.device_layer_scores(
-                dev.net, dev.train.features, dev.train.labels, noise_cfg)))
+                dev.net, dev.train.features, dev.train.labels,
+                cfg.noise_budget, cfg.p_norm)))
             analysis[dev.k] = _device_init_analysis(dev, cfg, fim_rows)
 
     if cfg.gal_on:

@@ -13,8 +13,8 @@ from fedlora.curriculum import PacingConfig, pace_count
 from fedlora.engine import (ServerState, build_devices, fedavg_gal,
                             gal_payload_params, init_phase, run)
 from fedlora.fisher import sample_fim_diag
-from fedlora.gal import (GalDecision, NoiseConfig, adversarial_noise,
-                         eigengap_rank, gal_count)
+from fedlora.gal import (GalDecision, adversarial_noise, eigengap_rank,
+                         gal_count)
 from fedlora.linalg import make_rng
 from fedlora.network import (LoraLayer, LoraNetwork, backward, build_network,
                              flatten_lora, forward, lora_slices)
@@ -98,8 +98,7 @@ def test_criterion_3_noise_closed_form():
     for _ in range(trials):
         net, x, label = random_small_net(rng)
         budget = float(rng.uniform(0.05, 0.5))
-        eps, degenerate = adversarial_noise(net, x, label,
-                                            NoiseConfig(budget, 2.0))
+        eps, degenerate = adversarial_noise(net, x, label, budget, 2.0)
         if degenerate:
             wins += 1  # no gradient: nothing to beat
             continue

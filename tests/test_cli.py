@@ -78,6 +78,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"^{key}: expected a finite"):
             parse_config({key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("noise_budget", 0), ("noise_budget", -0.1), ("p_norm", 1),
+        ("p_norm", 0.5), ("dirichlet_alpha", 0), ("dirichlet_alpha", -1.0),
+        ("devices", 0)])
+    def test_init_phase_settings_rejected_naming_the_key(self, key, value):
+        # validate() is the only check of these: the noise and the partition
+        # take them as plain arguments
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            parse_config(f"{key}: {value}\n")
+
     def test_cross_field_violations_rejected(self):
         with pytest.raises(ConfigError, match="sampled_per_round"):
             parse_config("devices: 4\nsampled_per_round: 9\n")

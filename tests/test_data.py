@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from fedlora.data import (Dataset, PartitionConfig, dirichlet_partition,
-                          generate, split)
+from fedlora.data import Dataset, dirichlet_partition, generate, split
 from fedlora.linalg import make_rng
 
 
@@ -48,14 +47,12 @@ class TestGenerate:
 
 
 class TestDirichletPartition:
-    def cfg(self, concentration, devices, min_shard=2, seed=0):
-        return PartitionConfig(concentration=concentration,
-                               num_devices=devices, min_shard=min_shard,
-                               seed=seed)
+    def partition(self, ds, concentration, devices, min_shard=2, seed=0):
+        return dirichlet_partition(ds, devices, concentration, min_shard, seed)
 
     def test_partition_is_disjoint_and_exhaustive(self):
         ds = generate(5, 40, 4, 2.0, make_rng(3))
-        shards = dirichlet_partition(ds, self.cfg(1.0, 7))
+        shards = self.partition(ds, 1.0, 7)
         assert sum(len(s) for s in shards) == len(ds)
         seen = []
         for s in shards:
@@ -64,14 +61,14 @@ class TestDirichletPartition:
 
     def test_minimum_shard_size_enforced(self):
         ds = generate(4, 30, 4, 2.0, make_rng(4))
-        shards = dirichlet_partition(ds, self.cfg(0.1, 6, min_shard=10))
+        shards = self.partition(ds, 0.1, 6, min_shard=10)
         assert all(len(s) >= 10 for s in shards)
 
     def test_huge_concentration_approaches_uniform(self):
         ds = generate(4, 100, 4, 2.0, make_rng(5))
         devs = 5
         for seed in range(10):
-            shards = dirichlet_partition(ds, self.cfg(1e6, devs, seed=seed))
+            shards = self.partition(ds, 1e6, devs, seed=seed)
             for s in shards:
                 hist = label_hist(s, 4)
                 assert np.max(np.abs(hist - 0.25)) < 0.05
@@ -80,7 +77,7 @@ class TestDirichletPartition:
         ds = generate(4, 100, 4, 2.0, make_rng(6))
         doms = []
         for seed in range(10):
-            shards = dirichlet_partition(ds, self.cfg(0.1, 5, seed=seed))
+            shards = self.partition(ds, 0.1, 5, seed=seed)
             doms.extend(label_hist(s, 4).max() for s in shards)
         assert np.median(doms) > 0.25  # dominant class above the uniform share
 
@@ -90,7 +87,7 @@ class TestDirichletPartition:
         for conc in (0.1, 1.0, 10.0, 1e6):
             dists = []
             for seed in range(20):
-                shards = dirichlet_partition(ds, self.cfg(conc, 6, seed=seed))
+                shards = self.partition(ds, conc, 6, seed=seed)
                 global_hist = label_hist(ds, 5)
                 dists.extend(np.abs(label_hist(s, 5) - global_hist).sum()
                              for s in shards)
@@ -99,8 +96,8 @@ class TestDirichletPartition:
 
     def test_deterministic_given_seed(self):
         ds = generate(3, 30, 4, 2.0, make_rng(8))
-        a = dirichlet_partition(ds, self.cfg(1.0, 4, seed=5))
-        b = dirichlet_partition(ds, self.cfg(1.0, 4, seed=5))
+        a = self.partition(ds, 1.0, 4, seed=5)
+        b = self.partition(ds, 1.0, 4, seed=5)
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.features, sb.features)
             assert np.array_equal(sa.labels, sb.labels)
@@ -108,12 +105,12 @@ class TestDirichletPartition:
     def test_infeasible_minimum_rejected(self):
         ds = generate(2, 5, 3, 2.0, make_rng(0))
         with pytest.raises(ValueError):
-            dirichlet_partition(ds, self.cfg(1.0, 2, min_shard=50))
+            self.partition(ds, 1.0, 2, min_shard=50)
 
     def test_more_devices_than_samples_rejected(self):
         ds = generate(2, 1, 3, 2.0, make_rng(0))
         with pytest.raises(ValueError):
-            dirichlet_partition(ds, self.cfg(1.0, 10))
+            self.partition(ds, 1.0, 10)
 
 
 class TestSplit:

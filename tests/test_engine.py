@@ -226,6 +226,25 @@ class TestInitPhase:
                 "no-mask": groups, "full-sync": 0, "fedavg-lora": 0}
         assert len(calls) == want[mode]
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_lockstep_passes_run_once_exactly_with_the_gal_or_masks_on(
+            self, mode, monkeypatch):
+        # the curriculum's scoring pass runs only inside the lockstep passes,
+        # and those run only for the GAL or the masks: a mode with the
+        # curriculum alone would silently train without a batch order
+        cfg = small_cfg(mode=mode)
+        assert not cfg.curriculum_on or cfg.gal_on or cfg.mask_on
+        real = engine._lockstep_passes
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(engine, "_lockstep_passes", counting)
+        init_phase(build_devices(cfg), cfg)
+        assert len(calls) == (1 if cfg.gal_on or cfg.mask_on else 0)
+
     def test_baseline_mode_skips_analysis_and_masks(self, monkeypatch):
         cfg = small_cfg(mode="fedavg-lora")
         analysed = []

@@ -2,24 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_small_net, single_identity_layer_net
-from fedlora.gal import (NoiseConfig, adversarial_noise, aggregate_layer_scores,
+from fedlora.gal import (adversarial_noise, aggregate_layer_scores,
                          device_layer_scores, eigengap_rank, gal_count,
                          layer_relative_diff, lipschitz_estimate, select_gal)
 from fedlora.linalg import make_rng
 from fedlora.network import backward, forward
-
-
-class TestNoiseConfig:
-    def test_dual_exponent_conjugacy(self):
-        for p in (1.5, 2.0, 3.0, 10.0):
-            cfg = NoiseConfig(0.1, p)
-            assert abs(1.0 / p + 1.0 / cfg.q_norm - 1.0) < 1e-12
-
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseConfig(0.0, 2.0)
-        with pytest.raises(ValueError):
-            NoiseConfig(0.1, 1.0)
 
 
 class TestAdversarialNoise:
@@ -29,28 +16,27 @@ class TestAdversarialNoise:
         net.layers[0].a = np.array([[1.0, 0.0]])
         g = backward(net, np.array([0.3, 0.4]), 1).d_input
         eps, degenerate = adversarial_noise(net, np.array([0.3, 0.4]), 1,
-                                            NoiseConfig(1.0, 2.0))
+                                            1.0, 2.0)
         assert not degenerate
         assert np.allclose(eps, g / np.linalg.norm(g))
 
     def test_norm_matches_budget_for_several_p(self, rng):
         net, x, label = random_small_net(rng)
         for p in (1.5, 2.0, 3.0):
-            cfg = NoiseConfig(0.37, p)
-            eps, degenerate = adversarial_noise(net, x, label, cfg)
+            eps, degenerate = adversarial_noise(net, x, label, 0.37, p)
             assert not degenerate
             assert abs(np.sum(np.abs(eps) ** p) ** (1.0 / p) - 0.37) < 1e-8
 
     def test_invariant_to_gradient_scale(self, rng):
         # doubling the loss doubles the gradient but not its direction
         g = np.array([0.3, -1.2, 0.8])
-        cfg = NoiseConfig(0.5, 3.0)
-        q = cfg.q_norm
+        budget, p = 0.5, 3.0
+        q = p / (p - 1.0)
 
         def closed_form(grad):
             gq = np.sum(np.abs(grad) ** q)
-            return cfg.noise_budget * np.sign(grad) * np.abs(grad) ** (q - 1) \
-                / gq ** (1.0 / cfg.p_norm)
+            return budget * np.sign(grad) * np.abs(grad) ** (q - 1) \
+                / gq ** (1.0 / p)
 
         assert np.allclose(closed_form(g), closed_form(7.0 * g))
 
@@ -61,7 +47,7 @@ class TestAdversarialNoise:
         # instead kill the gradient path by zeroing the base weight too
         net.layers[0].w_base = np.zeros((2, 2))
         eps, degenerate = adversarial_noise(net, np.array([1.0, 2.0]), 0,
-                                            NoiseConfig(0.1, 2.0))
+                                            0.1, 2.0)
         assert degenerate
         assert np.array_equal(eps, np.zeros(2))
 
@@ -71,8 +57,7 @@ class TestAdversarialNoise:
         for _ in range(trials):
             net, x, label = random_small_net(rng)
             budget = 1e-2 * float(np.linalg.norm(x))
-            cfg = NoiseConfig(budget, 2.0)
-            eps, degenerate = adversarial_noise(net, x, label, cfg)
+            eps, degenerate = adversarial_noise(net, x, label, budget, 2.0)
             if degenerate:
                 trials -= 1
                 continue
@@ -121,25 +106,23 @@ class TestLayerRelativeDiff:
 class TestDeviceLayerScores:
     def test_single_sample_equals_its_diff(self, rng):
         net, x, label = random_small_net(rng)
-        cfg = NoiseConfig(0.1, 2.0)
-        eps, _ = adversarial_noise(net, x, label, cfg)
+        eps, _ = adversarial_noise(net, x, label, 0.1, 2.0)
         expect, _ = layer_relative_diff(net, x, eps)
-        got = device_layer_scores(net, [x], [label], cfg)
+        got = device_layer_scores(net, [x], [label], 0.1, 2.0)
         assert np.allclose(got, expect)
 
     def test_duplicating_every_sample_changes_nothing(self, rng):
         net, x, label = random_small_net(rng)
         x2 = x + 0.5
-        cfg = NoiseConfig(0.1, 2.0)
-        once = device_layer_scores(net, [x, x2], [label, label], cfg)
+        once = device_layer_scores(net, [x, x2], [label, label], 0.1, 2.0)
         twice = device_layer_scores(net, [x, x, x2, x2],
-                                    [label, label, label, label], cfg)
+                                    [label, label, label, label], 0.1, 2.0)
         assert np.allclose(once, twice)
 
     def test_empty_device_rejected(self, rng):
         net, _, _ = random_small_net(rng)
         with pytest.raises(ValueError):
-            device_layer_scores(net, [], [], NoiseConfig(0.1, 2.0))
+            device_layer_scores(net, [], [], 0.1, 2.0)
 
 
 class TestAggregateLayerScores:

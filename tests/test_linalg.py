@@ -1,8 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from fedlora.linalg import (default_step, eigh_symmetric, eigvals_symmetric,
-                            finite_diff_hessian, make_rng)
+from conftest import random_small_net
+from fedlora.linalg import (default_step, eigh_symmetric, finite_diff_hessian,
+                            make_rng)
+from fedlora.network import dataset_loss_grad_flat, flatten_lora
 from oracles import finite_diff_gradient
 
 
@@ -45,27 +49,27 @@ class TestEighSymmetric:
         assert np.linalg.norm(v.T @ v - np.eye(12)) < 1e-8
 
     def test_eigenvalues_alone_match_the_decomposition(self):
+        # the engine reads its spectra with eigvalsh alone
         rng = make_rng(1)
         for n in (1, 2, 7, 40):
             m = rng.normal(size=(n, n))
             m = m + m.T
-            w = eigvals_symmetric(m)
+            w = np.linalg.eigvalsh(m)
             assert np.all(np.diff(w) >= 0)
             ref, _ = eigh_symmetric(m)
             assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("spectrum", [eigh_symmetric, eigvals_symmetric])
-    def test_rejects_asymmetric_and_nonsquare(self, spectrum):
+    def test_rejects_asymmetric_and_nonsquare(self):
         with pytest.raises(ValueError, match="not symmetric"):
-            spectrum(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            eigh_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="square"):
-            spectrum(np.zeros((2, 3)))
+            eigh_symmetric(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="square"):
-            spectrum(np.zeros(3))
+            eigh_symmetric(np.zeros(3))
         with pytest.raises(ValueError, match="non-finite"):
-            spectrum(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            eigh_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="non-finite"):
-            spectrum(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+            eigh_symmetric(np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
 
 class TestFiniteDiffGradient:
@@ -108,6 +112,26 @@ class TestFiniteDiffHessian:
         j = rng.normal(size=(5, 5))
         h = finite_diff_hessian(lambda v: v @ j.T, rng.normal(size=5))
         assert np.array_equal(h, h.T)
+
+    def test_engine_hessian_of_a_random_network_is_exactly_symmetric(self):
+        # the engine reads this matrix's spectrum with no symmetry check
+        rng = make_rng(4)
+        for _ in range(10):
+            net, x, label = random_small_net(rng)
+            grad = partial(dataset_loss_grad_flat, net, x[None], [label])
+            h = finite_diff_hessian(grad, flatten_lora(net))
+            assert np.array_equal(h, h.T)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_result_of_finite_sides_raises(self):
+        # each side is finite, but (gp - gm) / 2h overflows
+        with pytest.raises(ArithmeticError, match="non-finite Hessian"):
+            finite_diff_hessian(lambda v: np.where(v > 0.0, 1e308, -1e308),
+                                np.zeros(2), h=1.0)
+        # the Jacobian is finite, but its symmetrizing sum overflows
+        j = np.array([[0.0, 1.5e308], [1.5e308, 0.0]])
+        with pytest.raises(ArithmeticError, match="non-finite Hessian"):
+            finite_diff_hessian(lambda v: v @ j.T, np.zeros(2), h=0.25)
 
     def test_one_call_per_stencil_side(self):
         x = np.array([0.5, -1.0, 2.0, 0.0])
