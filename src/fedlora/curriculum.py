@@ -25,27 +25,32 @@ class PacingConfig:
             raise ValueError("batch_size and total_rounds must be >= 1")
 
 
+def pace_ratio(cfg, t):
+    """Share of a device's batches trained on in round t: beta plus
+    (1 - beta) times a ramp of u = min(t / (alpha * T), 1) that rises from
+    0 to 1, so the ratio is exactly 1 from round alpha * T on. The ramps
+    are the normalised families of Wu, Dyer & Neyshabur (ICLR 2021): u for
+    linear, sqrt(u), and (e^(10 u) - 1) / (e^10 - 1) for exp."""
+    u = min(t / (cfg.alpha * cfg.total_rounds), 1.0)
+    if cfg.pace == "sqrt":
+        u = math.sqrt(u)
+    elif cfg.pace == "exp":
+        u = math.expm1(10.0 * u) / math.expm1(10.0)
+    return cfg.beta + (1.0 - cfg.beta) * u
+
+
 def pace_count(cfg, t, n_k):
     """Number of batches a device trains on in round t.
 
-    Ceil of the schedule value, clamped to [1, total batch count], where a
-    short tail batch counts as one; the exp pace saturates after very few
-    rounds by construction and is clamped rather than renormalized.
+    Ceil of `pace_ratio` times the total batch count, clamped to [1, total
+    batch count], where a short tail batch counts as one.
     """
     if t < 0:
         raise ValueError("round index must be >= 0")
     if n_k < 1:
         raise ValueError("device has no samples")
     n_batches = math.ceil(n_k / cfg.batch_size)
-    at = cfg.alpha * cfg.total_rounds
-    if cfg.pace == "linear":
-        ramp = t / at
-    elif cfg.pace == "sqrt":
-        ramp = t ** 2 / at
-    else:  # exp
-        ramp = math.exp(min(t, 700)) / at
-    ratio = cfg.beta + (1.0 - cfg.beta) * ramp
-    count = math.ceil(ratio * n_batches)
+    count = math.ceil(pace_ratio(cfg, t) * n_batches)
     return max(1, min(count, n_batches))
 
 

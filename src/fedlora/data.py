@@ -43,68 +43,110 @@ def generate(num_classes, per_class, dim, class_sep, rng):
     return Dataset(feats[perm], labels[perm], num_classes)
 
 
+def _class_order(labels, num_classes):
+    """Row positions grouped by class, and the class sizes: one stable
+    argsort puts each class's positions in ascending order as one segment,
+    and one bincount gives the segment lengths. A label outside
+    [0, num_classes) raises ValueError naming it."""
+    order = np.argsort(labels, kind="stable")
+    if labels.size:
+        for label in (labels[order[0]], labels[order[-1]]):
+            if not 0 <= label < num_classes:
+                raise ValueError(f"label {label} outside [0, {num_classes})")
+    return order, np.bincount(labels, minlength=num_classes)
+
+
 def dirichlet_partition(ds, num_devices, concentration, min_shard, seed):
     """Split a dataset into `num_devices` disjoint, exhaustive shards.
 
-    For each class, proportions drawn from Dirichlet(concentration) allocate
-    that class's samples across devices; a reallocation pass then moves
-    samples from the largest shards until every device holds at least
-    `min_shard` samples. `ExperimentConfig.validate()` checks the settings;
-    only the checks that depend on the dataset's size are made here.
+    For each class in turn, its rows in ascending order are shuffled and
+    proportions drawn from Dirichlet(concentration) allocate them across
+    devices: device k takes the next floor(p_k * n_c) rows, and the
+    rounding remainder goes one each to the largest proportions. A shard
+    holds its rows in that class-major draw order.
+
+    A rebalance then moves one row at a time until every shard holds at
+    least `min_shard`: the receiver is the smallest shard and the donor the
+    largest, each the lowest device id on a tie, and the donor gives its
+    last row, which the receiver appends. Since min_shard * num_devices
+    rows fit, a receiver never becomes the largest shard and a donor never
+    falls below `min_shard`, so no row moves twice.
+    `ExperimentConfig.validate()` checks the settings; only the checks
+    that depend on the dataset are made here.
     """
-    if num_devices > len(ds):
+    n = len(ds)
+    if num_devices > n:
         raise ValueError("more devices than samples")
-    rng = make_rng(seed, 0xD1)
-    shards = [[] for _ in range(num_devices)]
-    for c in range(ds.num_classes):
-        idx = np.flatnonzero(ds.labels == c)
-        rng.shuffle(idx)
-        props = rng.dirichlet(np.full(num_devices, concentration))
-        counts = np.floor(props * idx.size).astype(int)
-        # hand out the rounding remainder to the largest proportions
-        for k in np.argsort(-props)[: idx.size - counts.sum()]:
-            counts[k] += 1
-        off = 0
-        for k in range(num_devices):
-            shards[k].extend(idx[off:off + counts[k]].tolist())
-            off += counts[k]
-    if min_shard * num_devices > len(ds):
+    if min_shard * num_devices > n:
         raise ValueError("minimum shard size infeasible for this dataset")
-    # move samples from the largest shard until everyone has enough
+    order, class_sizes = _class_order(ds.labels, ds.num_classes)
+    rng = make_rng(seed, 0xD1)
+    counts = np.empty((ds.num_classes, num_devices), dtype=np.int64)
+    lo = 0
+    for c, size in enumerate(class_sizes):
+        rng.shuffle(order[lo:lo + size])
+        lo += size
+        props = rng.dirichlet(np.full(num_devices, concentration))
+        counts[c] = np.floor(props * size)
+        counts[c, np.argsort(-props)[: size - counts[c].sum()]] += 1
+    # every row's device; a stable sort by device keeps the draw order
+    owner = np.repeat(np.tile(np.arange(num_devices), ds.num_classes),
+                      counts.ravel())
+    by_owner = np.argsort(owner, kind="stable")
+    sizes = counts.sum(axis=0)
+    starts = np.cumsum(sizes) - sizes
+    moved, receivers = [], []
     while True:
-        sizes = [len(s) for s in shards]
-        needy = min(range(num_devices), key=lambda k: sizes[k])
+        needy = int(np.argmin(sizes))
         if sizes[needy] >= min_shard:
             break
-        donor = max(range(num_devices), key=lambda k: sizes[k])
-        shards[needy].append(shards[donor].pop())
-    return [Dataset(ds.features[np.array(s, dtype=int)],
-                    ds.labels[np.array(s, dtype=int)], ds.num_classes)
-            for s in shards]
+        donor = int(np.argmax(sizes))
+        sizes[donor] -= 1
+        sizes[needy] += 1
+        moved.append(starts[donor] + sizes[donor])
+        receivers.append(needy)
+    # a moved row joins its receiver's shard after every row it held
+    device = owner[by_owner]
+    rank = np.arange(n)
+    device[moved] = receivers
+    rank[moved] = n + np.arange(len(moved))
+    rows = order[by_owner[np.lexsort((rank, device))]]
+    cuts = np.cumsum(sizes)[:-1]
+    return [Dataset(f, y, ds.num_classes) for f, y in
+            zip(np.split(ds.features[rows], cuts),
+                np.split(ds.labels[rows], cuts))]
 
 
 def split(shard, train_fraction, rng):
-    """Label-stratified disjoint (train, test) split; test is never empty."""
+    """Label-stratified disjoint (train, test) split; test is never empty.
+
+    Each non-empty class in turn has its rows in ascending order shuffled;
+    the first round(train_fraction * n_c) go to train (at most n_c - 1
+    when n_c > 1) and the rest to test. If test is then empty, the last
+    row drawn for train moves to test; if train is empty, the last row
+    drawn for test moves to train. Both sides are returned in row order.
+    """
     n = len(shard)
     if n < 2:
         raise ValueError("shard too small to split")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train fraction must lie in (0, 1)")
-    train_idx, test_idx = [], []
-    for c in range(shard.num_classes):
-        idx = np.flatnonzero(shard.labels == c)
-        if idx.size == 0:
-            continue
-        rng.shuffle(idx)
-        cut = int(round(train_fraction * idx.size))
-        cut = min(cut, idx.size - 1) if idx.size > 1 else cut
-        train_idx.extend(idx[:cut].tolist())
-        test_idx.extend(idx[cut:].tolist())
-    if not test_idx:
-        test_idx.append(train_idx.pop())
-    if not train_idx:
-        train_idx.append(test_idx.pop())
-    tr = np.array(sorted(train_idx), dtype=int)
-    te = np.array(sorted(test_idx), dtype=int)
+    order, sizes = _class_order(shard.labels, shard.num_classes)
+    in_train = np.zeros(n, dtype=bool)
+    lo = 0
+    for size in sizes.tolist():
+        if size:
+            rng.shuffle(order[lo:lo + size])
+            cut = int(round(train_fraction * size))
+            if size > 1:
+                cut = min(cut, size - 1)
+            in_train[lo:lo + cut] = True
+            lo += size
+    train, test = order[in_train], order[~in_train]
+    if not test.size:
+        train, test = train[:-1], train[-1:]
+    if not train.size:
+        train, test = test[-1:], test[:-1]
+    tr, te = np.sort(train), np.sort(test)
     return (Dataset(shard.features[tr], shard.labels[tr], shard.num_classes),
             Dataset(shard.features[te], shard.labels[te], shard.num_classes))

@@ -1,6 +1,7 @@
 """Reference computations that only the tests use: a component-by-component
-finite-difference gradient, the trace of a diagonal FIM and the init phase
-as a loop over the devices."""
+finite-difference gradient, the trace of a diagonal FIM, the init phase
+as a loop over the devices, and the Dirichlet partition and stratified
+split as loops over the classes and devices."""
 
 import math
 from functools import partial
@@ -8,6 +9,7 @@ from functools import partial
 import numpy as np
 
 from fedlora import curriculum, engine, fisher, gal
+from fedlora.data import Dataset
 from fedlora.linalg import default_step, finite_diff_hessian, make_rng
 from fedlora.masking import NeuronMask, build_mask, layer_ratio
 from fedlora.network import dataset_loss_grad_flat, flatten_lora, lora_slices
@@ -134,3 +136,68 @@ def _device_init_analysis(dev, cfg, fim_rows):
         engine._spectrum_rank(hessian[sa.start:sb.stop, sa.start:sb.stop],
                               lip)
         for sa, sb in lora_slices(dev.net)]
+
+
+def loop_dirichlet_partition(ds, num_devices, concentration, min_shard, seed):
+    """`data.dirichlet_partition` as loops over the classes and devices:
+    each shard is a list that grows class by class, and every move of the
+    rebalance rescans all shard sizes with `min` and `max`. Rows whose
+    label lies outside [0, num_classes) are dropped, not rejected."""
+    if num_devices > len(ds):
+        raise ValueError("more devices than samples")
+    rng = make_rng(seed, 0xD1)
+    shards = [[] for _ in range(num_devices)]
+    for c in range(ds.num_classes):
+        idx = np.flatnonzero(ds.labels == c)
+        rng.shuffle(idx)
+        props = rng.dirichlet(np.full(num_devices, concentration))
+        counts = np.floor(props * idx.size).astype(int)
+        # hand out the rounding remainder to the largest proportions
+        for k in np.argsort(-props)[: idx.size - counts.sum()]:
+            counts[k] += 1
+        off = 0
+        for k in range(num_devices):
+            shards[k].extend(idx[off:off + counts[k]].tolist())
+            off += counts[k]
+    if min_shard * num_devices > len(ds):
+        raise ValueError("minimum shard size infeasible for this dataset")
+    # move samples from the largest shard until everyone has enough
+    while True:
+        sizes = [len(s) for s in shards]
+        needy = min(range(num_devices), key=lambda k: sizes[k])
+        if sizes[needy] >= min_shard:
+            break
+        donor = max(range(num_devices), key=lambda k: sizes[k])
+        shards[needy].append(shards[donor].pop())
+    return [Dataset(ds.features[np.array(s, dtype=int)],
+                    ds.labels[np.array(s, dtype=int)], ds.num_classes)
+            for s in shards]
+
+
+def loop_split(shard, train_fraction, rng):
+    """`data.split` as a loop over the classes, each scanning every label;
+    rows whose label lies outside [0, num_classes) are dropped, not
+    rejected."""
+    n = len(shard)
+    if n < 2:
+        raise ValueError("shard too small to split")
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train fraction must lie in (0, 1)")
+    train_idx, test_idx = [], []
+    for c in range(shard.num_classes):
+        idx = np.flatnonzero(shard.labels == c)
+        if idx.size == 0:
+            continue
+        rng.shuffle(idx)
+        cut = int(round(train_fraction * idx.size))
+        cut = min(cut, idx.size - 1) if idx.size > 1 else cut
+        train_idx.extend(idx[:cut].tolist())
+        test_idx.extend(idx[cut:].tolist())
+    if not test_idx:
+        test_idx.append(train_idx.pop())
+    if not train_idx:
+        train_idx.append(test_idx.pop())
+    tr = np.array(sorted(train_idx), dtype=int)
+    te = np.array(sorted(test_idx), dtype=int)
+    return (Dataset(shard.features[tr], shard.labels[tr], shard.num_classes),
+            Dataset(shard.features[te], shard.labels[te], shard.num_classes))

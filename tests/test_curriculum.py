@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from fedlora.curriculum import (PacingConfig, pace_count, select_batches,
-                                sort_batches)
+from fedlora.curriculum import (PACES, PacingConfig, pace_count, pace_ratio,
+                                select_batches, sort_batches)
 from fedlora.linalg import make_rng
 
 
@@ -52,11 +54,37 @@ class TestPaceCount:
                 assert 1 <= c <= int(np.ceil(n_k / cfg.batch_size))
                 prev = c
 
-    def test_exp_pace_saturates_quickly(self):
+    def test_exp_pace_saturates_at_alpha_t(self):
+        # (e^(10 u) - 1) / (e^10 - 1) stays near beta for the first half of
+        # the ramp and reaches every batch at alpha * T = 80, not after a
+        # dozen rounds as the unnormalised e^t / (alpha T) did
         cfg = table_cfg(pace="exp")
-        counts = [pace_count(cfg, t, 80) for t in range(12)]
-        assert counts[-1] == 10
+        counts = [pace_count(cfg, t, 80) for t in range(100)]
         assert counts == sorted(counts)
+        assert counts[0] == 6 and max(counts[:40]) == 7
+        assert counts[79] == counts[80] == 10
+        assert pace_ratio(cfg, 79) < 1.0 == pace_ratio(cfg, 80)
+
+    def test_sqrt_pace_is_the_root_of_the_linear_ramp(self):
+        cfg = table_cfg(pace="sqrt")
+        assert pace_ratio(cfg, 20) == pytest.approx(0.6 + 0.4 * 0.5)
+        assert pace_count(cfg, 20, 80) == 8  # linear gives 7 here
+        assert pace_count(table_cfg(), 20, 80) == 7
+
+    def test_every_pace_runs_from_beta_to_exactly_one_at_alpha_t(self):
+        rng = make_rng(17)
+        for _ in range(300):
+            for pace in PACES:
+                cfg = PacingConfig(
+                    beta=float(rng.uniform(0.05, 1.0)),
+                    alpha=float(rng.uniform(0.05, 1.0)), pace=pace,
+                    total_rounds=int(rng.integers(1, 200)))
+                at = cfg.alpha * cfg.total_rounds
+                assert pace_ratio(cfg, 0) == cfg.beta
+                assert pace_ratio(cfg, at) == 1.0
+                assert pace_ratio(cfg, math.ceil(at) + 7) == 1.0
+                for t in range(math.ceil(at)):
+                    assert cfg.beta <= pace_ratio(cfg, t) <= 1.0
 
     def test_negative_round_rejected(self):
         with pytest.raises(ValueError):

@@ -112,6 +112,13 @@ class TestDirichletPartition:
         with pytest.raises(ValueError):
             self.partition(ds, 1.0, 10)
 
+    def test_label_outside_the_classes_rejected(self):
+        # rows labelled 5 in a 2-class dataset must not vanish from the shards
+        ds = generate(2, 5, 3, 2.0, make_rng(0))
+        ds.labels[:2] = 5
+        with pytest.raises(ValueError, match="label 5 outside"):
+            self.partition(ds, 1.0, 2, min_shard=1)
+
 
 class TestSplit:
     def test_even_split(self):
@@ -145,6 +152,14 @@ class TestSplit:
     def test_tiny_shard_rejected(self):
         ds = Dataset(np.zeros((1, 2)), np.zeros(1, dtype=np.int64), 2)
         with pytest.raises(ValueError):
+            split(ds, 0.5, make_rng(0))
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_label_outside_the_classes_rejected(self, bad):
+        # rows labelled 2 or -1 in a 2-class shard must not vanish from it
+        labels = np.array([0, 0, 1, 1, bad, bad])
+        ds = Dataset(np.arange(12.0).reshape(6, 2), labels, 2)
+        with pytest.raises(ValueError, match=f"label {bad} outside"):
             split(ds, 0.5, make_rng(0))
 
     def test_test_side_never_empty(self):
