@@ -19,11 +19,14 @@ from . import curriculum, fisher, gal as gal_mod
 from .data import dirichlet_partition, generate, split
 from .linalg import finite_diff_hessian, make_rng
 from .masking import NeuronMask, build_mask, layer_ratio, masked_param_count
-from .network import (backward, build_network, clone_network,
-                      dataset_loss_grad_flat, flatten_lora, forward,
-                      lora_slices, lora_views, set_lora_flat)
+from .network import (StepPlan, backward, backward_2d, build_network,
+                      clone_network, dataset_loss_grad_flat, flatten_lora,
+                      forward, lora_slices, lora_views, set_lora_flat)
 
 RANK_EPS = 1e-8  # relative eigenvalue cutoff for the numerical Hessian rank
+
+_all = np.logical_and.reduce
+_sum = np.add.reduce
 
 
 @dataclass
@@ -83,37 +86,6 @@ def build_devices(cfg):
         dev.batch_order = list(range(len(dev.batches)))
         devices.append(dev)
     return devices
-
-
-def _backward(dev, idx, phase, **kwargs):
-    """`backward` over the device's training rows `idx`; a non-finite loss
-    or gradient raises ArithmeticError naming the device and the phase."""
-    g = backward(dev.net, dev.train.features[idx], dev.train.labels[idx],
-                 **kwargs)
-    if not (np.isfinite(g.loss).all() and np.isfinite(g.grad).all()):
-        raise ArithmeticError(
-            f"non-finite loss or gradient on device {dev.k}, {phase}")
-    return g
-
-
-def _train_epoch(dev, cfg, batch_ids, phase, mask=None):
-    """One pass of per-batch summed-gradient SGD; returns the mean loss.
-
-    The epoch works on one flat copy `p` of the device's adapters: each
-    batch's backward reads them through reshaped views of `p` and returns
-    one flat gradient `g.grad`, and one `p -= lr * g.grad` steps every
-    layer, elementwise the same as `apply_update`. The network's adapters
-    are written back from `p` once, at the end of the epoch."""
-    p = flatten_lora(dev.net)
-    params = lora_views(dev.net, p)
-    losses = []
-    for j in batch_ids:
-        g = _backward(dev, dev.batches[j], phase, mask=mask, params=params,
-                      adapters_only=True)
-        p -= cfg.lr * g.grad
-        losses.append(g.loss)
-    set_lora_flat(dev.net, p)
-    return float(np.mean(np.concatenate(losses)))
 
 
 def _spectrum_rank(hessian, lipschitz):
@@ -336,7 +308,15 @@ def sample_devices(num_devices, count, rng):
 
 def local_round(dev, gal_params, t, cfg):
     """Sync the GAL layers from the server, train on the curriculum-selected
-    batches, and return this device's updated GAL parameters."""
+    batches, and return this device's updated GAL parameters and mean loss.
+
+    The round is set up once: the adapters become one flat vector `p`, a
+    `StepPlan` fixes the views into it, the validated mask and the gradient
+    buffer, and the selected batches' rows are gathered. Each of the
+    `local_iterations` epochs then runs one `backward_2d` per batch and one
+    `p -= lr * grad`, elementwise the same as `apply_update`; a non-finite
+    loss or gradient raises ArithmeticError naming the device and round.
+    The adapters are written back from `p` once, at the end of the round."""
     for li, (a, b) in gal_params.items():
         dev.net.layers[li].a = a.copy()
         dev.net.layers[li].b = b.copy()
@@ -347,15 +327,35 @@ def local_round(dev, gal_params, t, cfg):
         count = curriculum.pace_count(pacing, t, dev.n_k)
         selected = curriculum.select_batches(dev.batch_order, count)
     else:
-        selected = list(range(len(dev.batches)))
+        selected = range(len(dev.batches))
 
-    mask = dev.mask.per_layer if dev.mask is not None else None
-    losses = [_train_epoch(dev, cfg, selected, f"round {t}", mask=mask)
-              for _ in range(cfg.local_iterations)]
+    p = flatten_lora(dev.net)
+    plan = StepPlan(dev.net, lora_views(dev.net, p).values(),
+                    dev.mask.per_layer if dev.mask is not None else None)
+    grad, lr = plan.grad, cfg.lr
+    # each row's label logit in the flat (n, C) logits: row * C + label
+    classes = dev.net.num_classes
+    offsets = np.arange(0, dev.n_k * classes, classes)
+    batches = [(dev.train.features[idx],
+                dev.train.labels[idx] + offsets[:len(idx)])
+               for idx in (dev.batches[j] for j in selected)]
+    losses = []
+    for _ in range(cfg.local_iterations):
+        epoch = []
+        for x, picks in batches:
+            loss = backward_2d(plan, x, picks)[0]
+            if not (_all(np.isfinite(loss)) and _all(np.isfinite(grad))):
+                raise ArithmeticError("non-finite loss or gradient on device "
+                                      f"{dev.k}, round {t}")
+            p -= lr * grad
+            epoch.append(loss)
+        epoch = np.concatenate(epoch)
+        losses.append(float(_sum(epoch) / epoch.size))  # np.mean, unwrapped
+    set_lora_flat(dev.net, p)
 
     update = {li: (dev.net.layers[li].a.copy(), dev.net.layers[li].b.copy())
               for li in gal_params}
-    return update, float(np.mean(losses))
+    return update, float(_sum(losses) / len(losses))
 
 
 def fedavg_gal(server, updates):

@@ -7,12 +7,17 @@ analytic (softmax cross-entropy head), including the input gradient the
 layer-sensitivity noise generation needs. `backward` sums the adapter
 gradients over the rows, applies a neuron mask in closed form and returns
 each sample's diagonal-Fisher row sums, so no caller needs per-sample
-gradients. It reuses the rank-r projections x.A^T that `forward` keeps in
-its trace, and returns dA/dB as one flat gradient vector in `flatten_lora`
-order, which the training step and the Hessian probes use as is. A stack of
-K substitute adapters (`params`) broadcasts over the shared frozen W, so K
-probe points cost one pass; a (K, n, d) input pairs the k-th matrix of
-samples with the k-th adapter.
+gradients. It reuses the rank-r projections x.A^T of the forward pass, and
+returns dA/dB as one flat gradient vector in `flatten_lora` order, which
+the Hessian probes use as is. A stack of K substitute adapters (`params`)
+broadcasts over the shared frozen W, so K probe points cost one pass; a
+(K, n, d) input pairs the k-th matrix of samples with the k-th adapter.
+
+A sample matrix with 2-D adapters runs through `backward_2d`, the one 2-D
+implementation: `backward` validates its inputs and builds a `StepPlan`,
+while local training builds the plan once per round and calls
+`backward_2d` directly on each batch, so a step does no validation and no
+bookkeeping. Stacks run through the broadcasting body of `backward`.
 """
 
 from dataclasses import dataclass
@@ -132,9 +137,10 @@ def clone_network(net):
 
 
 def _matmul(a, b, out=None):
-    """a @ b. Two 2-D operands go through `ndarray.dot`, the same BLAS call
-    as the matmul ufunc at less than half its per-call overhead (about 1 of
-    2.3 us at the desk sizes, which a training step pays 22 times); stacked
+    """a @ b for `forward` and the stacked body of `backward`. Two 2-D
+    operands go through `ndarray.dot`, the BLAS call `backward_2d` makes, at
+    less than half the matmul ufunc's per-call overhead; they meet where a
+    2-D input or hidden state meets a frozen W or a 2-D adapter. Stacked
     operands broadcast through `np.matmul`."""
     if a.ndim == 2 and b.ndim == 2:
         return a.dot(b, out)
@@ -176,11 +182,109 @@ def forward(net, x, labels=None, params=None):
     return trace
 
 
+def check_mask(net, mask):
+    """`mask` as a list with one boolean vector over output neurons, or
+    None, per layer of `net`; None stands for a fully trainable network.
+    Raises ValueError on a list whose length is not the layer count or on a
+    vector whose length is not its layer's width."""
+    if mask is None:
+        return [None] * len(net.layers)
+    mask = list(mask)
+    if len(mask) != len(net.layers):
+        raise ValueError(f"mask has {len(mask)} entries for "
+                         f"{len(net.layers)} layers")
+    masks = []
+    for layer, m in zip(net.layers, mask):
+        if m is not None:
+            m = np.asarray(m, dtype=bool)
+            if m.shape != (layer.d_out,):
+                raise ValueError(f"mask shape {m.shape} != ({layer.d_out},)")
+        masks.append(m)
+    return masks
+
+
+class StepPlan:
+    """What every 2-D pass of `backward_2d` over one set of adapters reads,
+    fixed once for as long as those adapters live: per layer the frozen W,
+    W^T and bias, whether it is a ReLU layer, the adapter pair a, b and
+    their transposes, the validated mask (`check_mask`), and views da, db
+    into `grad`, the flat gradient in `flatten_lora` order that each pass
+    overwrites. `params` is one 2-D (a, b) pair per layer; passes see any
+    in-place change to them."""
+
+    __slots__ = ("layers", "grad")
+
+    def __init__(self, net, params, mask=None):
+        masks = check_mask(net, mask)
+        self.grad = np.empty(net.lora_param_count())
+        grads = lora_views(net, self.grad).values()
+        self.layers = [
+            (l.w_base, l.w_base.T, l.bias, l.activation == "relu",
+             a, a.T, b, b.T, keep, da, db)
+            for l, (a, b), keep, (da, db)
+            in zip(net.layers, params, masks, grads, strict=True)]
+
+
+_max = np.maximum.reduce
+_sum = np.add.reduce
+
+
+def backward_2d(plan, x, picks, fim_rows=None):
+    """`backward` of one (n, d) float64 sample matrix, for operands the
+    caller has validated: `picks` holds each row's flat index of its label's
+    logit in the (n, C) logits, row * C + label. Writes the summed dA/dB
+    into `plan.grad` and returns (per-sample loss, None). With a list
+    `fim_rows`, also appends each layer's Fisher row sums, from the last
+    layer down, and returns the input gradient in place of None.
+
+    Every product is one `ndarray.dot` on 2-D operands, and the pass builds
+    nothing that `plan` fixes, so a training step pays only for its
+    arithmetic."""
+    inputs = [x]
+    projections = []
+    h = x
+    for _, w_t, bias, relu, _, a_t, _, b_t, _, _, _ in plan.layers:
+        proj = h.dot(a_t)
+        h = h.dot(w_t)  # z = (h.W^T + proj.B^T) + bias, summed in place
+        h += proj.dot(b_t)
+        h += bias
+        if relu:
+            np.maximum(h, 0.0, out=h)
+        projections.append(proj)
+        inputs.append(h)
+    m = _max(h, axis=-1, keepdims=True)
+    e = np.exp(h - m)
+    s = _sum(e, axis=-1, keepdims=True)
+    loss = (m + np.log(s))[:, 0] - h.ravel()[picks]
+    delta = e / s
+    delta.ravel()[picks] -= 1.0  # a fresh contiguous array: ravel is a view
+
+    for li in range(len(plan.layers) - 1, -1, -1):
+        w, _, _, relu, a, _, b, _, keep, da, db = plan.layers[li]
+        if relu:  # h = max(z, 0) >= 0, so 1[h > 0] = sign(h); a NaN in h
+            delta *= np.sign(inputs[li + 1])  # already made its row's loss NaN
+        if fim_rows is not None:
+            fim_rows.append(delta ** 2 * _sum(inputs[li] ** 2, axis=-1,
+                                              keepdims=True))
+        delta_b = delta.dot(b)
+        if keep is None:
+            kept, kept_b = delta, delta_b
+        else:
+            kept = np.where(keep, delta, 0.0)
+            kept_b = kept.dot(b)
+        kept.T.dot(projections[li], db)
+        kept_b.T.dot(inputs[li], da)
+        if li or fim_rows is not None:
+            delta = delta.dot(w)
+            delta += delta_b.dot(a)
+    return loss, None if fim_rows is None else delta
+
+
 def backward(net, x, labels, mask=None, params=None, adapters_only=False):
     """Analytic cross-entropy gradients w.r.t. every A, B and the input, for
     one sample or a matrix with one sample per row; dA and dB are summed over
     the rows. Frozen parameters get no gradient slots. dB reuses the rank-r
-    projection x.A^T of each layer's input that `forward` computed.
+    projection x.A^T of each layer's input that the forward pass computed.
 
     `mask` (optional) holds one boolean vector over output neurons per layer,
     or None for a fully trainable layer. A masked-out neuron's entry of delta
@@ -192,9 +296,12 @@ def backward(net, x, labels, mask=None, params=None, adapters_only=False):
     delta.W + (delta.B).A, which never forms a (K, d_out, d_in) weight.
 
     `adapters_only` leaves `fim_rows` and `d_input` None: only the Fisher
-    scoring and the input-noise generation read them, so training steps and
-    the stacked probes skip their cost. `da`, `db` and `loss` are the same
-    either way.
+    scoring and the input-noise generation read them, so the warmup steps
+    and the stacked probes skip their cost. `da`, `db` and `loss` are the
+    same either way.
+
+    A matrix with 2-D adapters runs through `backward_2d`; a stacked input
+    or a stack of substitute adapters runs through the broadcasting body.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:  # a 1-D sample is the n = 1 case, with 1-D shapes
@@ -206,13 +313,26 @@ def backward(net, x, labels, mask=None, params=None, adapters_only=False):
             g.d_input = g.d_input[..., 0, :]
         return g
     n_layers = len(net.layers)
-    masks = [None] * n_layers
-    for li, m in enumerate(() if mask is None else mask):
-        if m is not None:
-            masks[li] = np.asarray(m, dtype=bool)
-            if masks[li].shape != (net.layers[li].d_out,):
-                raise ValueError(f"mask shape {masks[li].shape} != "
-                                 f"({net.layers[li].d_out},)")
+    masks = check_mask(net, mask)
+    pairs = [params.get(li, (l.a, l.b)) if params else (l.a, l.b)
+             for li, l in enumerate(net.layers)]
+    if x.ndim == 2 and all(a.ndim == b.ndim == 2 for a, b in pairs):
+        if x.shape[1] != net.input_dim:
+            raise ValueError(f"input shape {x.shape} does not end in "
+                             f"({net.input_dim},)")
+        labels = np.asarray(labels)
+        if labels.shape != x.shape[:1]:
+            raise ValueError(f"label shape {labels.shape} != {x.shape[:1]}")
+        picks = np.ravel_multi_index((np.arange(len(x)), labels),
+                                     (len(x), net.num_classes))
+        plan = StepPlan(net, pairs, masks)
+        fim_rows = None if adapters_only else []
+        loss, d_input = backward_2d(plan, x, picks, fim_rows)
+        return Gradients(grad=plan.grad,
+                         da=[da for *_, da, _ in plan.layers],
+                         db=[db for *_, db in plan.layers],
+                         fim_rows=None if adapters_only else fim_rows[::-1],
+                         d_input=d_input, loss=loss)
 
     trace = forward(net, x, labels, params)
     inputs = [x] + trace.hidden[:-1]
@@ -227,7 +347,7 @@ def backward(net, x, labels, mask=None, params=None, adapters_only=False):
                   d_input=None, loss=trace.loss)
     for li in range(n_layers - 1, -1, -1):
         layer = net.layers[li]
-        a, b = params.get(li, (layer.a, layer.b)) if params else (layer.a, layer.b)
+        a, b = pairs[li]
         if layer.activation == "relu":
             delta = delta * (trace.hidden[li] > 0)
         if not adapters_only:
@@ -288,11 +408,19 @@ def lora_views(net, vecs):
     """Per-layer (a, b) views into flat adapter vectors, keyed by layer index
     like the `params` of `forward`/`backward`; a leading stack axis of
     `vecs` is kept."""
+    size = vecs.shape[-1] if vecs.ndim else 1
+    if size != net.lora_param_count():
+        raise ValueError(f"flat adapter vector of {size} entries for "
+                         f"{net.lora_param_count()} adapter parameters")
     lead = vecs.shape[:-1]
-    return {li: (vecs[..., sa].reshape(lead + layer.a.shape),
-                 vecs[..., sb].reshape(lead + layer.b.shape))
-            for li, (layer, (sa, sb))
-            in enumerate(zip(net.layers, lora_slices(net)))}
+    views = {}
+    end = 0
+    for li, layer in enumerate(net.layers):
+        start, mid = end, end + layer.a.size
+        end = mid + layer.b.size
+        views[li] = (vecs[..., start:mid].reshape(lead + layer.a.shape),
+                     vecs[..., mid:end].reshape(lead + layer.b.shape))
+    return views
 
 
 def set_lora_flat(net, vec):

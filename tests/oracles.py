@@ -1,7 +1,8 @@
 """Reference computations that only the tests use: a component-by-component
-finite-difference gradient, the trace of a diagonal FIM, the init phase
-as a loop over the devices, and the Dirichlet partition and stratified
-split as loops over the classes and devices."""
+finite-difference gradient, the trace of a diagonal FIM, local SGD as a
+per-layer loop, the init phase as a loop over the devices, and the
+Dirichlet partition and stratified split as loops over the classes and
+devices."""
 
 import math
 from functools import partial
@@ -12,7 +13,8 @@ from fedlora import curriculum, engine, fisher, gal
 from fedlora.data import Dataset
 from fedlora.linalg import default_step, finite_diff_hessian, make_rng
 from fedlora.masking import NeuronMask, build_mask, layer_ratio
-from fedlora.network import dataset_loss_grad_flat, flatten_lora, lora_slices
+from fedlora.network import (apply_update, backward, dataset_loss_grad_flat,
+                             flatten_lora, lora_slices)
 
 
 def finite_diff_gradient(f, x, h=None):
@@ -41,6 +43,52 @@ def fim_trace(fim):
     return float(sum(v.sum() for v in fim))
 
 
+def checked_backward(dev, idx, phase, **kwargs):
+    """`backward` over the device's training rows `idx`; a non-finite loss
+    or gradient raises ArithmeticError naming the device and the phase."""
+    g = backward(dev.net, dev.train.features[idx], dev.train.labels[idx],
+                 **kwargs)
+    if not (np.isfinite(g.loss).all() and np.isfinite(g.grad).all()):
+        raise ArithmeticError(
+            f"non-finite loss or gradient on device {dev.k}, {phase}")
+    return g
+
+
+def reference_epoch(dev, cfg, batch_ids, phase, mask=None):
+    """One pass of per-batch summed-gradient SGD over the device's batches
+    `batch_ids`, in order: per batch one `backward` on the network's own
+    adapters and one per-layer `apply_update`. Returns the epoch's mean
+    loss."""
+    losses = []
+    for j in batch_ids:
+        g = checked_backward(dev, dev.batches[j], phase, mask=mask)
+        apply_update(dev.net, g, cfg.lr)
+        losses.append(g.loss)
+    return float(np.mean(np.concatenate(losses)))
+
+
+def reference_local_round(dev, gal_params, t, cfg):
+    """`engine.local_round` as a per-layer loop: sync the GAL layers, then
+    `local_iterations` epochs of `reference_epoch` over the
+    curriculum-selected batches with the device's mask. Returns (update,
+    mean of the epochs' mean losses)."""
+    for li, (a, b) in gal_params.items():
+        dev.net.layers[li].a = a.copy()
+        dev.net.layers[li].b = b.copy()
+    if cfg.curriculum_on:
+        pacing = curriculum.PacingConfig(cfg.beta, cfg.alpha, cfg.pace,
+                                         cfg.batch_size, cfg.rounds)
+        selected = dev.batch_order[:curriculum.pace_count(pacing, t, dev.n_k)]
+    else:
+        selected = range(len(dev.batches))
+    losses = [reference_epoch(dev, cfg, selected, f"round {t}",
+                              dev.mask.per_layer)
+              for _ in range(cfg.local_iterations)]
+    update = {li: (dev.net.layers[li].a.copy(), dev.net.layers[li].b.copy())
+              for li in gal_params}
+    return update, float(np.mean(losses))
+
+
 def per_device_init_phase(devices, cfg):
     """`engine.init_phase` as one loop over the devices: each device's Fisher
     scoring, noise probes, momentum-FIM and warmup epochs and Hessian
@@ -56,7 +104,7 @@ def per_device_init_phase(devices, cfg):
     layer_scores = []
     analysis = {}
     for dev in devices if cfg.curriculum_on or need_analysis else []:
-        fim_rows = engine._backward(dev, np.arange(dev.n_k),
+        fim_rows = checked_backward(dev, np.arange(dev.n_k),
                                     "warmup epoch 0").fim_rows
         if cfg.curriculum_on:
             difficulty = sum(rows.sum(axis=1) for rows in fim_rows)
@@ -111,13 +159,13 @@ def _device_init_analysis(dev, cfg, fim_rows):
         phase = f"warmup epoch {epoch}"
         if epoch < cfg.momentum_epochs:
             if epoch > 0:
-                fim_rows = engine._backward(dev, np.arange(dev.n_k),
+                fim_rows = checked_backward(dev, np.arange(dev.n_k),
                                             phase).fim_rows
             fim = fisher.momentum_update(
                 fim, [rows.mean(axis=0)[:, None] for rows in fim_rows],
                 cfg.gamma_m)
         if epoch < cfg.warmup_epochs:
-            engine._train_epoch(dev, cfg, range(len(dev.batches)), phase)
+            reference_epoch(dev, cfg, range(len(dev.batches)), phase)
 
     p_t = flatten_lora(dev.net)
     sub = min(cfg.hessian_samples, dev.n_k)

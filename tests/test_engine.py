@@ -17,7 +17,7 @@ from fedlora.linalg import eigh_symmetric, make_rng
 from fedlora.network import (apply_update, backward, build_network,
                              clone_network, forward, lora_views,
                              set_lora_flat)
-from oracles import fim_trace, per_device_init_phase
+from oracles import fim_trace, per_device_init_phase, reference_local_round
 
 
 def small_cfg(**overrides):
@@ -386,6 +386,15 @@ class TestLocalRound:
         update, _ = local_round(devices[1], partial, 0, cfg)
         assert set(update) == {0}
 
+    def test_device_mask_checked_against_the_layer_count(self):
+        cfg = small_cfg(mode="fedavg-lora")
+        server, devices = init_phase(build_devices(cfg), cfg)
+        dev = devices[1]
+        dev.mask.per_layer.append(None)
+        with pytest.raises(ValueError, match="mask has 4 entries for 3 "
+                                             "layers"):
+            local_round(dev, server.gal_params, 0, cfg)
+
     def test_training_changes_the_synced_layers(self):
         cfg = small_cfg(mode="fedavg-lora")
         server, devices = init_phase(build_devices(cfg), cfg)
@@ -393,29 +402,6 @@ class TestLocalRound:
         moved = any(not np.array_equal(update[li][0], server.gal_params[li][0])
                     for li in update)
         assert moved
-
-
-def reference_local_round(dev, gal_params, t, cfg):
-    """`local_round` as an independent per-layer loop: sync the GAL, then per
-    curriculum-selected batch `backward` with the device's mask and
-    `apply_update`. Returns (mean loss, number of selected batches)."""
-    for li, (a, b) in gal_params.items():
-        dev.net.layers[li].a = a.copy()
-        dev.net.layers[li].b = b.copy()
-    pacing = curriculum.PacingConfig(cfg.beta, cfg.alpha, cfg.pace,
-                                     cfg.batch_size, cfg.rounds)
-    count = curriculum.pace_count(pacing, t, dev.n_k)
-    epoch_losses = []
-    for _ in range(cfg.local_iterations):
-        losses = []
-        for j in dev.batch_order[:count]:
-            idx = dev.batches[j]
-            g = backward(dev.net, dev.train.features[idx],
-                         dev.train.labels[idx], mask=dev.mask.per_layer)
-            apply_update(dev.net, g, cfg.lr)
-            losses.append(g.loss)
-        epoch_losses.append(float(np.mean(np.concatenate(losses))))
-    return float(np.mean(epoch_losses)), count
 
 
 class TestMaskedCurriculumRound:
@@ -429,17 +415,20 @@ class TestMaskedCurriculumRound:
         assert any(m is not None and not m.all()
                    for dev in devices for m in dev.mask.per_layer)
         ref = copy.deepcopy(devices)
+        pacing = curriculum.PacingConfig(cfg.beta, cfg.alpha, cfg.pace,
+                                         cfg.batch_size, cfg.rounds)
         subsets = 0
         for t in range(cfg.rounds):
             sampled = sample_devices(cfg.devices, cfg.sampled_per_round,
                                      make_rng(cfg.seed, 0x5E, t))
             updates = []
             for k in sampled:
-                want_loss, count = reference_local_round(
-                    ref[k], server.gal_params, t, cfg)
+                _, want_loss = reference_local_round(ref[k], server.gal_params,
+                                                     t, cfg)
                 update, loss = local_round(devices[k], server.gal_params, t,
                                            cfg)
-                subsets += count < len(devices[k].batches)
+                subsets += curriculum.pace_count(
+                    pacing, t, devices[k].n_k) < len(devices[k].batches)
                 assert loss == want_loss
                 for got, want in zip(devices[k].net.layers, ref[k].net.layers):
                     assert np.array_equal(got.a, want.a)
@@ -450,6 +439,64 @@ class TestMaskedCurriculumRound:
                 updates.append((devices[k].n_k, update))
             fedavg_gal(server, updates)
         assert subsets > 0  # the curriculum left some batches out
+
+
+# The configs of the benchmark workloads (benchmark/workloads.py) and the
+# edge shapes of a round: one-row batches, three local epochs, rank-1
+# adapters and a one-row tail batch.
+ROUND_SHAPES = {
+    "desk-fedavg": ExperimentConfig(mode="fedavg-lora", seed=1),
+    "desk-fibecfed": ExperimentConfig(mode="fibecfed", seed=1),
+    "scale-sparse": ExperimentConfig(
+        mode="fibecfed", devices=100, sampled_per_round=10, beta=0.6,
+        alpha=0.8, mu=0.5, lr=0.02, hessian_samples=2, lipschitz_points=16),
+    "tiny": ExperimentConfig(
+        mode="fibecfed", devices=4, sampled_per_round=2, rounds=6,
+        per_class=30, lipschitz_points=8, hessian_samples=2, lr=0.03),
+    **{name: small_cfg(mu=0.5, lipschitz_points=8, hessian_samples=2, **shape)
+       for name, shape in (("batch-1", {"batch_size": 1}),
+                           ("3-epochs", {"local_iterations": 3}),
+                           ("rank-1", {"lora_rank": 1}),
+                           ("1-row-tail", {"batch_size": 5}))},
+}
+
+
+class TestRoundShapes:
+    """`local_round` against the per-layer loop of `reference_local_round`,
+    bit for bit, at every shape the benchmark runs: BLAS need not round the
+    same way at every matrix size. Every device trains in each of three
+    rounds, so every shard size and tail batch of the config is met."""
+
+    @pytest.mark.parametrize("name", ROUND_SHAPES)
+    def test_equals_the_per_layer_loop_bitwise(self, name):
+        cfg = ROUND_SHAPES[name].validate()
+        server, devices = init_phase(build_devices(cfg), cfg)
+        sizes = [dev.n_k for dev in devices]
+        if name.startswith("desk"):
+            assert len(set(sizes)) == 20
+        if name in ("scale-sparse", "tiny"):
+            assert server.gal.gal_layers < set(range(len(cfg.hidden_dims) + 1))
+            assert any(m is not None and not m.all()
+                       for dev in devices for m in dev.mask.per_layer)
+        if name == "1-row-tail":
+            assert 1 in {n % cfg.batch_size for n in sizes}
+        ref = copy.deepcopy(devices)
+        for t in range(3):
+            updates = []
+            for dev, ref_dev in zip(devices, ref):
+                want_update, want_loss = reference_local_round(
+                    ref_dev, server.gal_params, t, cfg)
+                update, loss = local_round(dev, server.gal_params, t, cfg)
+                assert loss == want_loss
+                assert update.keys() == want_update.keys()
+                for li, (a, b) in update.items():
+                    assert np.array_equal(a, want_update[li][0])
+                    assert np.array_equal(b, want_update[li][1])
+                for got, want in zip(dev.net.layers, ref_dev.net.layers):
+                    assert np.array_equal(got.a, want.a)
+                    assert np.array_equal(got.b, want.b)
+                updates.append((dev.n_k, update))
+            fedavg_gal(server, updates)
 
 
 class TestNonFiniteGuard:
@@ -470,22 +517,22 @@ class TestNonFiniteGuard:
     def test_guard_checks_the_loss_and_every_gradient_entry(self,
                                                             monkeypatch):
         cfg = small_cfg(mode="fedavg-lora")
-        real = engine.backward
+        real = engine.backward_2d
         for poison in ("loss", 0, -1):  # the loss, the first or last entry
             dev = build_devices(cfg)[1]
             calls = []
 
-            def poisoned(*args, **kwargs):
-                g = real(*args, **kwargs)
+            def poisoned(plan, *args, **kwargs):
+                out = real(plan, *args, **kwargs)
                 calls.append(poison)
                 if len(calls) == 2:  # the second batch of the epoch
                     if poison == "loss":
-                        g.loss[-1] = np.nan
+                        out[0][-1] = np.nan
                     else:
-                        g.grad[poison] = np.inf
-                return g
+                        plan.grad[poison] = np.inf
+                return out
 
-            monkeypatch.setattr(engine, "backward", poisoned)
+            monkeypatch.setattr(engine, "backward_2d", poisoned)
             with pytest.raises(ArithmeticError,
                                match="on device 1, round 3$"):
                 local_round(dev, {}, 3, cfg)

@@ -302,6 +302,15 @@ class TestBatched:
                 with pytest.raises(ValueError, match="label shape"):
                     fn(net, inputs, labels)
 
+    def test_label_outside_the_classes_rejected(self, rng):
+        # the 2-D pass reads each label's logit at row * C + label, so a
+        # label outside [0, C) must not reach a neighbouring row's logits
+        net, x, _ = random_small_net(rng)
+        xs = np.stack([x, x])
+        for labels in ([net.num_classes, 0], [0, -1]):
+            with pytest.raises(ValueError):
+                backward(net, xs, labels)
+
     def test_stacked_dataset_gradient_rows_match_probe_clones(self, rng):
         net, xs, ys = self.sample_batch(rng)
         vecs = flatten_lora(net) + rng.normal(
@@ -419,6 +428,19 @@ class TestApplyUpdate:
         with pytest.raises(ValueError):
             backward(net, x, label, mask=mask)
 
+    @pytest.mark.parametrize("mask", [
+        [None] * 5,                                  # more entries than layers
+        [np.ones(3, dtype=bool)],                    # layer 1 left unmasked
+        [None, None, np.ones(2, dtype=bool)],
+    ])
+    def test_mask_length_must_match_the_layer_count(self, mask):
+        net = build_network(4, [3], 2)
+        xs = make_rng(5).normal(size=(3, 4))
+        for x, labels in ((xs, [0, 1, 0]), (xs[None], [[0, 1, 0]])):
+            with pytest.raises(ValueError, match=f"mask has {len(mask)} "
+                                                 "entries for 2 layers"):
+                backward(net, x, labels, mask=mask)
+
 
 class TestFlatViews:
     def test_roundtrip(self, rng):
@@ -430,6 +452,18 @@ class TestFlatViews:
             layer.b = np.zeros_like(layer.b)
         set_lora_flat(other, vec)
         assert np.array_equal(flatten_lora(other), vec)
+
+    @pytest.mark.parametrize("size", [23, 25, 29])
+    def test_vector_length_must_match_the_adapter_count(self, size):
+        net = build_network(4, [3], 2)  # 24 adapter parameters
+        xs = make_rng(5).normal(size=(3, 4))
+        message = f"flat adapter vector of {size} entries for 24 adapter"
+        with pytest.raises(ValueError, match=message):
+            set_lora_flat(net, np.zeros(size))
+        with pytest.raises(ValueError, match=message):
+            dataset_loss_grad_flat(net, xs, [0, 1, 0], np.zeros((3, size)))
+        with pytest.raises(ValueError, match=message):
+            lora_views(net, np.zeros(size))
 
     def test_slices_partition_the_vector(self, rng):
         net, _, _ = random_small_net(rng)
