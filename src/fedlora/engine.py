@@ -12,6 +12,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -19,9 +20,10 @@ from . import curriculum, fisher, gal as gal_mod
 from .data import dirichlet_partition, generate, split
 from .linalg import finite_diff_hessian, make_rng
 from .masking import NeuronMask, build_mask, layer_ratio, masked_param_count
-from .network import (StepPlan, backward, backward_2d, build_network,
+from .network import (StepPlan, backprop, backward, build_network,
                       clone_network, dataset_loss_grad_flat, flatten_lora,
-                      forward, lora_slices, lora_views, set_lora_flat)
+                      forward, label_positions, lora_slices, lora_views,
+                      set_lora_flat)
 
 RANK_EPS = 1e-8  # relative eigenvalue cutoff for the numerical Hessian rank
 
@@ -310,10 +312,11 @@ def local_round(dev, gal_params, t, cfg):
     """Sync the GAL layers from the server, train on the curriculum-selected
     batches, and return this device's updated GAL parameters and mean loss.
 
-    The round is set up once: the adapters become one flat vector `p`, a
-    `StepPlan` fixes the views into it, the validated mask and the gradient
-    buffer, and the selected batches' rows are gathered. Each of the
-    `local_iterations` epochs then runs one `backward_2d` per batch and one
+    The round is set up once: the adapters become one flat vector `p`, an
+    unstacked `StepPlan` fixes the views into it, the validated mask and the
+    gradient buffer, and the selected batches' rows and label positions are
+    gathered. Each of the `local_iterations` epochs then runs one
+    `backprop` (the pass every `backward` ends in) per batch and one
     `p -= lr * grad`, elementwise the same as `apply_update`; a non-finite
     loss or gradient raises ArithmeticError naming the device and round.
     The adapters are written back from `p` once, at the end of the round."""
@@ -333,17 +336,20 @@ def local_round(dev, gal_params, t, cfg):
     plan = StepPlan(dev.net, lora_views(dev.net, p).values(),
                     dev.mask.per_layer if dev.mask is not None else None)
     grad, lr = plan.grad, cfg.lr
-    # each row's label logit in the flat (n, C) logits: row * C + label
+    # one gather of the selected rows; batch b is the slice [s, e) of it,
+    # and its label positions count from its own first row
+    rows = np.concatenate([dev.batches[j] for j in selected])
     classes = dev.net.num_classes
-    offsets = np.arange(0, dev.n_k * classes, classes)
-    batches = [(dev.train.features[idx],
-                dev.train.labels[idx] + offsets[:len(idx)])
-               for idx in (dev.batches[j] for j in selected)]
+    xs = dev.train.features[rows]
+    picks = label_positions(dev.train.labels[rows], rows.shape, classes)
+    bounds = [0, *accumulate(len(dev.batches[j]) for j in selected)]
+    batches = [(xs[s:e], picks[s:e] - s * classes)
+               for s, e in zip(bounds, bounds[1:])]
     losses = []
     for _ in range(cfg.local_iterations):
         epoch = []
         for x, picks in batches:
-            loss = backward_2d(plan, x, picks)[0]
+            loss = backprop(plan, x, picks)[0]
             if not (_all(np.isfinite(loss)) and _all(np.isfinite(grad))):
                 raise ArithmeticError("non-finite loss or gradient on device "
                                       f"{dev.k}, round {t}")

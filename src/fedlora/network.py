@@ -13,13 +13,14 @@ the Hessian probes use as is. A stack of K substitute adapters (`params`)
 broadcasts over the shared frozen W, so K probe points cost one pass; a
 (K, n, d) input pairs the k-th matrix of samples with the k-th adapter.
 
-A sample matrix with 2-D adapters runs through `backward_2d`, the one 2-D
-implementation: `backward` validates its inputs and builds a `StepPlan`,
-while local training builds the plan once per round and calls
-`backward_2d` directly on each batch, so a step does no validation and no
-bookkeeping. Stacks run through the broadcasting body of `backward`.
+Every backward runs through one pass, `backprop`, over a `StepPlan` whose
+optional stack axis is the pass's: `backward` validates its inputs, builds
+the plan and calls it, while local training builds an unstacked plan once
+per round and calls `backprop` directly on each batch, so a step does no
+validation and no bookkeeping.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,11 +84,9 @@ class LoraNetwork:
 @dataclass
 class ForwardTrace:
     hidden: list          # post-activation output per layer
-    projections: list     # rank-r projection x.A^T of each layer's input
     logits: np.ndarray
     loss: np.ndarray | None = None  # per sample
     probs: np.ndarray | None = None
-    label_index: tuple | None = None  # where each label's logit sits
 
 
 @dataclass
@@ -101,7 +100,8 @@ class Gradients:
     layer input x.
     `fim_rows`, `d_input` and `loss` are per sample; `fim_rows` and
     `d_input` are None from a `backward(..., adapters_only=True)`. Under a
-    stack of K substitute adapters every field has a leading K axis.
+    stack of K substitute adapters or a (K, n, d) stacked input every field
+    has a leading K axis.
     """
     grad: np.ndarray
     da: list
@@ -137,14 +137,24 @@ def clone_network(net):
 
 
 def _matmul(a, b, out=None):
-    """a @ b for `forward` and the stacked body of `backward`. Two 2-D
-    operands go through `ndarray.dot`, the BLAS call `backward_2d` makes, at
-    less than half the matmul ufunc's per-call overhead; they meet where a
-    2-D input or hidden state meets a frozen W or a 2-D adapter. Stacked
-    operands broadcast through `np.matmul`."""
+    """a @ b for `forward` and a stacked `StepPlan`. Two 2-D operands go
+    through `ndarray.dot`, the BLAS call of an unstacked plan, at less than
+    half the matmul ufunc's per-call overhead; they meet where a 2-D input
+    or hidden state meets a frozen W or a 2-D adapter. Stacked operands
+    broadcast through `np.matmul`."""
     if a.ndim == 2 and b.ndim == 2:
         return a.dot(b, out)
     return np.matmul(a, b, out=out)
+
+
+def label_positions(labels, shape, num_classes):
+    """Flat index of each label's logit in C-contiguous logits of shape
+    `shape` + (C,), sample * C + label, for `labels` that broadcast to
+    `shape`. A label outside [0, C) raises ValueError, so no label reads
+    another sample's logits."""
+    size = math.prod(shape)
+    return np.ravel_multi_index((np.arange(size).reshape(shape), labels),
+                                (size, num_classes))
 
 
 def forward(net, x, labels=None, params=None):
@@ -159,25 +169,23 @@ def forward(net, x, labels=None, params=None):
     if x.ndim not in (1, 2, 3) or x.shape[-1] != net.input_dim:
         raise ValueError(f"input shape {x.shape} does not end in ({net.input_dim},)")
     hidden = []
-    projections = []
     h = x
     for li, layer in enumerate(net.layers):
         a, b = params.get(li, (layer.a, layer.b)) if params else (layer.a, layer.b)
         proj = _matmul(h, a.mT)
         z = _matmul(h, layer.w_base.mT) + _matmul(proj, b.mT) + layer.bias
         h = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        projections.append(proj)
         hidden.append(h)
-    trace = ForwardTrace(hidden=hidden, projections=projections, logits=h)
+    trace = ForwardTrace(hidden=hidden, logits=h)
     if labels is not None:
-        m = h.max(axis=-1, keepdims=True)
-        e = np.exp(h - m)
-        s = e.sum(axis=-1, keepdims=True)
         labels = np.asarray(labels)
         if labels.shape != x.shape[:-1]:
             raise ValueError(f"label shape {labels.shape} != {x.shape[:-1]}")
-        trace.label_index = (..., *np.indices(labels.shape, sparse=True), labels)
-        trace.loss = (m + np.log(s))[..., 0] - h[trace.label_index]
+        picks = label_positions(labels, h.shape[:-1], net.num_classes)
+        m = h.max(axis=-1, keepdims=True)
+        e = np.exp(h - m)
+        s = e.sum(axis=-1, keepdims=True)
+        trace.loss = (m + np.log(s))[..., 0] - h.ravel()[picks]
         trace.probs = e / s
     return trace
 
@@ -204,23 +212,29 @@ def check_mask(net, mask):
 
 
 class StepPlan:
-    """What every 2-D pass of `backward_2d` over one set of adapters reads,
-    fixed once for as long as those adapters live: per layer the frozen W,
-    W^T and bias, whether it is a ReLU layer, the adapter pair a, b and
-    their transposes, the validated mask (`check_mask`), and views da, db
-    into `grad`, the flat gradient in `flatten_lora` order that each pass
-    overwrites. `params` is one 2-D (a, b) pair per layer; passes see any
-    in-place change to them."""
+    """What every pass of `backprop` over one set of adapters reads, fixed
+    once for as long as those adapters live: per layer the frozen W, W^T
+    and bias, whether it is a ReLU layer, the adapter pair a, b and their
+    transposes, the validated mask (`check_mask`), and views da, db into
+    `grad`, the flat gradient in `flatten_lora` order that each pass
+    overwrites. `params` is one (a, b) pair per layer; passes see any
+    in-place change to them.
 
-    __slots__ = ("layers", "grad")
+    `lead` is the stack shape of the pass, () for a sample matrix under 2-D
+    adapters. `grad` carries it as leading axes, and `mm`, the product of
+    the pass, is `ndarray.dot` for an unstacked plan and the broadcasting
+    `_matmul` for a stacked one."""
 
-    def __init__(self, net, params, mask=None):
+    __slots__ = ("layers", "grad", "mm")
+
+    def __init__(self, net, params, mask=None, lead=()):
         masks = check_mask(net, mask)
-        self.grad = np.empty(net.lora_param_count())
+        self.mm = _matmul if lead else np.ndarray.dot
+        self.grad = np.empty(lead + (net.lora_param_count(),))
         grads = lora_views(net, self.grad).values()
         self.layers = [
             (l.w_base, l.w_base.T, l.bias, l.activation == "relu",
-             a, a.T, b, b.T, keep, da, db)
+             a, a.mT, b, b.mT, keep, da, db)
             for l, (a, b), keep, (da, db)
             in zip(net.layers, params, masks, grads, strict=True)]
 
@@ -229,33 +243,39 @@ _max = np.maximum.reduce
 _sum = np.add.reduce
 
 
-def backward_2d(plan, x, picks, fim_rows=None):
-    """`backward` of one (n, d) float64 sample matrix, for operands the
-    caller has validated: `picks` holds each row's flat index of its label's
-    logit in the (n, C) logits, row * C + label. Writes the summed dA/dB
-    into `plan.grad` and returns (per-sample loss, None). With a list
+def backprop(plan, x, picks, fim_rows=None):
+    """`backward` of a float64 sample matrix or stack of them, for operands
+    the caller has validated: `picks` holds each sample's flat index of its
+    label's logit (`label_positions`). Writes the summed dA/dB into
+    `plan.grad` and returns (per-sample loss, None). With a list
     `fim_rows`, also appends each layer's Fisher row sums, from the last
     layer down, and returns the input gradient in place of None.
 
-    Every product is one `ndarray.dot` on 2-D operands, and the pass builds
-    nothing that `plan` fixes, so a training step pays only for its
-    arithmetic."""
+    Every product is one `plan.mm`, and the pass builds nothing that `plan`
+    fixes, so a training step pays only for its arithmetic. A layer's
+    pre-activation is summed in place, z = proj.B^T, z += h.W^T, z += bias:
+    proj.B^T already carries every stack axis (h's and A's through
+    proj = h.A^T, and B's), so this holds for a 2-D input under stacked
+    adapters too, and as IEEE addition commutes z has the bits of
+    (h.W^T + proj.B^T) + bias."""
+    mm = plan.mm
     inputs = [x]
     projections = []
     h = x
     for _, w_t, bias, relu, _, a_t, _, b_t, _, _, _ in plan.layers:
-        proj = h.dot(a_t)
-        h = h.dot(w_t)  # z = (h.W^T + proj.B^T) + bias, summed in place
-        h += proj.dot(b_t)
-        h += bias
+        proj = mm(h, a_t)
+        z = mm(proj, b_t)
+        z += mm(h, w_t)
+        z += bias
         if relu:
-            np.maximum(h, 0.0, out=h)
+            np.maximum(z, 0.0, out=z)
         projections.append(proj)
-        inputs.append(h)
+        inputs.append(z)
+        h = z
     m = _max(h, axis=-1, keepdims=True)
     e = np.exp(h - m)
     s = _sum(e, axis=-1, keepdims=True)
-    loss = (m + np.log(s))[:, 0] - h.ravel()[picks]
+    loss = (m + np.log(s))[..., 0] - h.ravel()[picks]
     delta = e / s
     delta.ravel()[picks] -= 1.0  # a fresh contiguous array: ravel is a view
 
@@ -266,25 +286,26 @@ def backward_2d(plan, x, picks, fim_rows=None):
         if fim_rows is not None:
             fim_rows.append(delta ** 2 * _sum(inputs[li] ** 2, axis=-1,
                                               keepdims=True))
-        delta_b = delta.dot(b)
+        delta_b = mm(delta, b)
         if keep is None:
             kept, kept_b = delta, delta_b
         else:
             kept = np.where(keep, delta, 0.0)
-            kept_b = kept.dot(b)
-        kept.T.dot(projections[li], db)
-        kept_b.T.dot(inputs[li], da)
+            kept_b = mm(kept, b)
+        mm(kept.mT, projections[li], db)
+        mm(kept_b.mT, inputs[li], da)
         if li or fim_rows is not None:
-            delta = delta.dot(w)
-            delta += delta_b.dot(a)
+            delta = mm(delta, w)
+            delta += mm(delta_b, a)
     return loss, None if fim_rows is None else delta
 
 
 def backward(net, x, labels, mask=None, params=None, adapters_only=False):
     """Analytic cross-entropy gradients w.r.t. every A, B and the input, for
-    one sample or a matrix with one sample per row; dA and dB are summed over
-    the rows. Frozen parameters get no gradient slots. dB reuses the rank-r
-    projection x.A^T of each layer's input that the forward pass computed.
+    one sample, a matrix with one sample per row or a (K, n, d) stack of
+    such matrices; dA and dB are summed over the rows. Frozen parameters
+    get no gradient slots. dB reuses the rank-r projection x.A^T of each
+    layer's input that the forward pass computed.
 
     `mask` (optional) holds one boolean vector over output neurons per layer,
     or None for a fully trainable layer. A masked-out neuron's entry of delta
@@ -300,8 +321,9 @@ def backward(net, x, labels, mask=None, params=None, adapters_only=False):
     and the stacked probes skip their cost. `da`, `db` and `loss` are the
     same either way.
 
-    A matrix with 2-D adapters runs through `backward_2d`; a stacked input
-    or a stack of substitute adapters runs through the broadcasting body.
+    The stack shape of the pass is the input's leading axes broadcast with
+    the adapters'; `backward` builds a `StepPlan` of that shape and runs
+    `backprop`.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:  # a 1-D sample is the n = 1 case, with 1-D shapes
@@ -312,66 +334,25 @@ def backward(net, x, labels, mask=None, params=None, adapters_only=False):
             g.fim_rows = [rows[..., 0, :] for rows in g.fim_rows]
             g.d_input = g.d_input[..., 0, :]
         return g
-    n_layers = len(net.layers)
-    masks = check_mask(net, mask)
+    if x.ndim not in (2, 3) or x.shape[-1] != net.input_dim:
+        raise ValueError(f"input shape {x.shape} does not end in "
+                         f"({net.input_dim},)")
+    labels = np.asarray(labels)
+    if labels.shape != x.shape[:-1]:
+        raise ValueError(f"label shape {labels.shape} != {x.shape[:-1]}")
     pairs = [params.get(li, (l.a, l.b)) if params else (l.a, l.b)
              for li, l in enumerate(net.layers)]
-    if x.ndim == 2 and all(a.ndim == b.ndim == 2 for a, b in pairs):
-        if x.shape[1] != net.input_dim:
-            raise ValueError(f"input shape {x.shape} does not end in "
-                             f"({net.input_dim},)")
-        labels = np.asarray(labels)
-        if labels.shape != x.shape[:1]:
-            raise ValueError(f"label shape {labels.shape} != {x.shape[:1]}")
-        picks = np.ravel_multi_index((np.arange(len(x)), labels),
-                                     (len(x), net.num_classes))
-        plan = StepPlan(net, pairs, masks)
-        fim_rows = None if adapters_only else []
-        loss, d_input = backward_2d(plan, x, picks, fim_rows)
-        return Gradients(grad=plan.grad,
-                         da=[da for *_, da, _ in plan.layers],
-                         db=[db for *_, db in plan.layers],
-                         fim_rows=None if adapters_only else fim_rows[::-1],
-                         d_input=d_input, loss=loss)
-
-    trace = forward(net, x, labels, params)
-    inputs = [x] + trace.hidden[:-1]
-    delta = trace.probs  # the trace is ours: softmax - onehot in place
-    delta[trace.label_index] -= 1.0
-
-    lead = trace.logits.shape[:-2]  # () or the stack axis K
-    end = net.lora_param_count()
-    g = Gradients(grad=np.empty(lead + (end,)),
-                  da=[None] * n_layers, db=[None] * n_layers,
-                  fim_rows=None if adapters_only else [None] * n_layers,
-                  d_input=None, loss=trace.loss)
-    for li in range(n_layers - 1, -1, -1):
-        layer = net.layers[li]
-        a, b = pairs[li]
-        if layer.activation == "relu":
-            delta = delta * (trace.hidden[li] > 0)
-        if not adapters_only:
-            g.fim_rows[li] = delta ** 2 * np.sum(inputs[li] ** 2, axis=-1,
-                                                 keepdims=True)
-        delta_b = _matmul(delta, b)
-        if masks[li] is None:
-            kept, kept_b = delta, delta_b
-        else:
-            kept = np.where(masks[li], delta, 0.0)
-            kept_b = _matmul(kept, b)
-        # flatten_lora order, walked from the end: each layer's A, then B
-        mid = end - layer.b.size
-        start = mid - layer.a.size
-        db = g.grad[..., mid:end].reshape(lead + layer.b.shape)
-        da = g.grad[..., start:mid].reshape(lead + layer.a.shape)
-        g.db[li] = _matmul(kept.mT, trace.projections[li], out=db)
-        g.da[li] = _matmul(kept_b.mT, inputs[li], out=da)
-        end = start
-        if li > 0 or not adapters_only:
-            delta = _matmul(delta, layer.w_base) + _matmul(delta_b, a)
-    if not adapters_only:
-        g.d_input = delta
-    return g
+    lead = np.broadcast_shapes(x.shape[:-2], *{m.shape[:-2] for pair in pairs
+                                               for m in pair})
+    plan = StepPlan(net, pairs, mask, lead)
+    picks = label_positions(labels, lead + x.shape[-2:-1], net.num_classes)
+    fim_rows = None if adapters_only else []
+    loss, d_input = backprop(plan, x, picks, fim_rows)
+    return Gradients(grad=plan.grad,
+                     da=[da for *_, da, _ in plan.layers],
+                     db=[db for *_, db in plan.layers],
+                     fim_rows=None if adapters_only else fim_rows[::-1],
+                     d_input=d_input, loss=loss)
 
 
 def apply_update(net, g, lr):

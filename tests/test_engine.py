@@ -517,7 +517,7 @@ class TestNonFiniteGuard:
     def test_guard_checks_the_loss_and_every_gradient_entry(self,
                                                             monkeypatch):
         cfg = small_cfg(mode="fedavg-lora")
-        real = engine.backward_2d
+        real = engine.backprop
         for poison in ("loss", 0, -1):  # the loss, the first or last entry
             dev = build_devices(cfg)[1]
             calls = []
@@ -532,7 +532,7 @@ class TestNonFiniteGuard:
                         plan.grad[poison] = np.inf
                 return out
 
-            monkeypatch.setattr(engine, "backward_2d", poisoned)
+            monkeypatch.setattr(engine, "backprop", poisoned)
             with pytest.raises(ArithmeticError,
                                match="on device 1, round 3$"):
                 local_round(dev, {}, 3, cfg)

@@ -175,12 +175,10 @@ class TestBatched:
                     for name in ("da", "db", "fim_rows"):
                         for got, want in zip(getattr(stacked, name),
                                              getattr(single, name)):
-                            assert np.allclose(got[i], want, rtol=1e-12,
-                                               atol=1e-12)
+                            assert np.array_equal(got[i], want)
                     for name in ("d_input", "loss"):
-                        assert np.allclose(getattr(stacked, name)[i],
-                                           getattr(single, name), rtol=1e-12,
-                                           atol=1e-12)
+                        assert np.array_equal(getattr(stacked, name)[i],
+                                              getattr(single, name))
 
     def test_adapters_only_equals_the_full_path(self, rng):
         k = 4
@@ -276,12 +274,17 @@ class TestBatched:
                           rng.normal(0.0, 0.3, size=(k,) + l.b.shape))
                      for li, l in enumerate(net.layers)}
             mask = [rng.random(l.d_out) < 0.5 for l in net.layers]
-            for m in (None, mask):
-                stacked = backward(net, xs, ys, mask=m, params=stack)
+            # the adapter stack of the warmup steps, and the network's own
+            # 2-D adapters of the noise probes
+            for m, params in ((None, stack), (mask, stack), (None, None),
+                              (mask, None)):
+                stacked = backward(net, xs, ys, mask=m, params=params)
                 assert stacked.loss.shape == (k, n)
+                assert stacked.grad.shape == (k, net.lora_param_count())
                 for i in range(k):
                     single = backward(net, xs[i], ys[i], mask=m, params={
-                        li: (a[i], b[i]) for li, (a, b) in stack.items()})
+                        li: (a[i], b[i]) for li, (a, b) in stack.items()}
+                        if params else None)
                     for name in ("da", "db", "fim_rows"):
                         for got, want in zip(getattr(stacked, name),
                                              getattr(single, name)):
@@ -303,13 +306,28 @@ class TestBatched:
                     fn(net, inputs, labels)
 
     def test_label_outside_the_classes_rejected(self, rng):
-        # the 2-D pass reads each label's logit at row * C + label, so a
-        # label outside [0, C) must not reach a neighbouring row's logits
+        # the pass reads each label's logit at sample * C + label, so a
+        # label outside [0, C) must not reach a neighbouring sample's logits
+        k = 3
         net, x, _ = random_small_net(rng)
         xs = np.stack([x, x])
-        for labels in ([net.num_classes, 0], [0, -1]):
-            with pytest.raises(ValueError):
-                backward(net, xs, labels)
+        stack = {li: (rng.normal(0.0, 0.3, size=(k,) + l.a.shape),
+                      rng.normal(0.0, 0.3, size=(k,) + l.b.shape))
+                 for li, l in enumerate(net.layers)}
+        for labels, bad in (([net.num_classes, 0], net.num_classes),
+                            ([0, -1], -1)):
+            for call in (
+                    lambda: backward(net, xs, labels),
+                    # a (K, n, d) stack, with and without stacked adapters
+                    lambda: backward(net, np.stack([xs] * k), [labels] * k),
+                    lambda: backward(net, np.stack([xs] * k), [labels] * k,
+                                     params=stack),
+                    # a 2-D input under stacked adapters
+                    lambda: backward(net, xs, labels, params=stack),
+                    lambda: forward(net, xs, labels),
+                    lambda: forward(net, x, bad)):
+                with pytest.raises(ValueError):
+                    call()
 
     def test_stacked_dataset_gradient_rows_match_probe_clones(self, rng):
         net, xs, ys = self.sample_batch(rng)
