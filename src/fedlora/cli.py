@@ -18,10 +18,10 @@ from .config import ConfigError, load_config, parse_config
 from .engine import run
 
 CSV_HEADER = ["round", "sampled_ids", "train_loss", "weighted_test_acc",
-              "server_view_acc", "bytes_down", "bytes_up", "wall_ms"]
+              "server_view_acc", "bytes_down", "bytes_up"]
 NUMERIC_FIELDS = {"round": int, "train_loss": float,
                   "weighted_test_acc": float, "server_view_acc": float,
-                  "bytes_down": int, "bytes_up": int, "wall_ms": float}
+                  "bytes_down": int, "bytes_up": int}
 
 
 def _fmt(x):
@@ -29,9 +29,9 @@ def _fmt(x):
 
 
 def render_metrics_csv(reports):
-    """Metrics rows, one per round. The wall_ms column is zeroed so that the
-    file is byte-identical across reruns of the same seeded config; measured
-    wall times go to the run summary instead."""
+    """Metrics rows, one per round. They hold no timing, so the file is
+    byte-identical across reruns of the same seeded config; measured wall
+    times go to the run summary instead."""
     buf = io.StringIO()
     buf.write(",".join(CSV_HEADER) + "\n")
     for r in reports:
@@ -43,7 +43,6 @@ def render_metrics_csv(reports):
             _fmt(r.server_view_acc),
             str(r.bytes_down),
             str(r.bytes_up),
-            _fmt(0.0),
         ]) + "\n")
     return buf.getvalue()
 

@@ -20,21 +20,22 @@ def sample_fim_diag(net, s, label):
     """One sample's squared full-weight loss gradient: (d_out, d_in) per layer.
 
     Each layer's delta is taken from the input gradient of the network above
-    that layer (or from the softmax at the top), not from the closed forms,
-    so that this can serve as their reference.
+    that layer (or from its own softmax of the logits at the top), not from
+    the closed forms, so that this can serve as their reference.
     """
     s = np.asarray(s, dtype=np.float64)
-    trace = forward(net, s, label)
-    inputs = [s] + trace.hidden[:-1]
+    hidden = [h[0] for h in forward(net, s[None]).hidden]
+    inputs = [s] + hidden[:-1]
     fim = []
     for li, layer in enumerate(net.layers):
         if li == len(net.layers) - 1:
-            delta = trace.probs - np.eye(net.num_classes)[label]
+            e = np.exp(hidden[li] - hidden[li].max())
+            delta = e / e.sum() - np.eye(net.num_classes)[label]
         else:
             above = LoraNetwork(net.layers[li + 1:], net.num_classes)
-            delta = backward(above, trace.hidden[li], label).d_input
+            delta = backward(above, hidden[li][None], [label]).d_input[0]
         if layer.activation == "relu":
-            delta = delta * (trace.hidden[li] > 0)
+            delta = delta * (hidden[li] > 0)
         fim.append(np.outer(delta, inputs[li]) ** 2)
     return fim
 

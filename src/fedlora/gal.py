@@ -18,14 +18,14 @@ class GalDecision:
 
 
 def adversarial_noise(net, s, label, noise_budget, p_norm):
-    """Worst-case input perturbation of p-norm size `noise_budget`, for one
-    sample or for each row of a sample matrix.
+    """Worst-case input perturbation of p-norm size `noise_budget`, for each
+    row of a sample matrix or of a (G, n, d) stack of them.
 
     Closed form of the linearized dual problem, q = p/(p-1) its dual
     exponent (`validate()` keeps the budget > 0 and p > 1):
     eps = budget * sign(g)|g|^(q-1) / (||g||_q^q)^(1/p), which reduces to
     budget * g/||g||_2 at p = q = 2. Returns (eps, degenerate_flag); the flag
-    marks a zero gradient, in which case eps is the zero vector.
+    marks a row with zero gradient, whose eps row is zero.
     """
     g = backward(net, s, label).d_input
     q = p_norm / (p_norm - 1.0)
@@ -38,10 +38,10 @@ def adversarial_noise(net, s, label, noise_budget, p_norm):
 
 def layer_relative_diff(net, s, eps):
     """Relative change of every layer's hidden-state norm under perturbation,
-    for one sample or for each row of a sample matrix.
+    for each row of a sample matrix or of a (G, n, d) stack of them.
 
     A layer whose clean hidden state has zero norm reports 0 for that layer
-    (degenerate, flagged). Returns (per-layer diffs, degenerate_flag).
+    (degenerate, flagged). Returns (per-row layer diffs, per-row flag).
     """
     s = np.asarray(s, dtype=np.float64)
     clean = np.stack([np.linalg.norm(h, axis=-1)

@@ -41,21 +41,19 @@ def default_step(x):
     return 1e-5 * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
 
 
-def finite_diff_hessian(grad, x, h=None):
+def finite_diff_hessian(grad, x):
     """Symmetrized central-difference Jacobian of a gradient function.
 
     `grad` maps a stack of points, one per row, to their gradients, one per
     row. It is called once per side of the stencil, on the rows x + h*e_i
-    and then on the rows x - h*e_i, each side a view into one (2, P, P)
-    buffer; the result is the symmetrized Jacobian, exact for linear maps.
+    and then on the rows x - h*e_i, h = `default_step(x)`, each side a view
+    into one (2, P, P) buffer; the result is the symmetrized Jacobian,
+    exact for linear maps.
     A non-finite gradient row or result (finite sides can still overflow in
     (gp - gm) / 2h) raises ArithmeticError.
     """
     x = np.asarray(x, dtype=np.float64)
-    if h is None:
-        h = default_step(x)
-    if h <= 0:
-        raise ValueError("step must be positive")
+    h = default_step(x)
     n = x.size
     stencil = np.empty((2, n, n))  # rows x + h*e_i, then rows x - h*e_i
     stencil[:] = x

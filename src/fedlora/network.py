@@ -1,17 +1,17 @@
 """Small feed-forward classifier with frozen base weights and trainable
 low-rank adapter pairs per layer.
 
-`forward` and `backward` run one pass over a matrix with one sample per
-row (a 1-D sample is the n = 1 case, with its 1-D shapes). Both are fully
-analytic (softmax cross-entropy head), including the input gradient the
-layer-sensitivity noise generation needs. `backward` sums the adapter
-gradients over the rows, applies a neuron mask in closed form and returns
-each sample's diagonal-Fisher row sums, so no caller needs per-sample
-gradients. It reuses the rank-r projections x.A^T of the forward pass, and
-returns dA/dB as one flat gradient vector in `flatten_lora` order, which
-the Hessian probes use as is. A stack of K substitute adapters (`params`)
-broadcasts over the shared frozen W, so K probe points cost one pass; a
-(K, n, d) input pairs the k-th matrix of samples with the k-th adapter.
+`forward` and `backward` take a matrix with one sample per row or a
+(K, n, d) stack of them. Both are analytic, including the input gradient
+the layer-sensitivity noise generation needs; `backward` has the only
+softmax cross-entropy head. It sums the adapter gradients over the rows,
+applies a neuron mask in closed form and returns each sample's
+diagonal-Fisher row sums, so no caller needs per-sample gradients. It
+reuses the rank-r projections x.A^T of the forward pass, and returns dA/dB
+as one flat gradient vector in `flatten_lora` order, which the Hessian
+probes use as is. A stack of K substitute adapters (`params`) broadcasts
+over the shared frozen W, so K probe points cost one pass; a (K, n, d)
+input pairs the k-th matrix of samples with the k-th adapter.
 
 Every backward runs through one pass, `backprop`, over a `StepPlan` whose
 optional stack axis is the pass's: `backward` validates its inputs, builds
@@ -85,8 +85,6 @@ class LoraNetwork:
 class ForwardTrace:
     hidden: list          # post-activation output per layer
     logits: np.ndarray
-    loss: np.ndarray | None = None  # per sample
-    probs: np.ndarray | None = None
 
 
 @dataclass
@@ -98,10 +96,10 @@ class Gradients:
     w.r.t. layer l's effective weight W + B.A, summed over every output row:
     delta_i^2 ||x||^2 for the pre-activation loss gradient delta and the
     layer input x.
-    `fim_rows`, `d_input` and `loss` are per sample; `fim_rows` and
-    `d_input` are None from a `backward(..., adapters_only=True)`. Under a
-    stack of K substitute adapters or a (K, n, d) stacked input every field
-    has a leading K axis.
+    `fim_rows[l]` (n, d_out), `d_input` (n, d) and `loss` (n,) have one row
+    per sample; `fim_rows` and `d_input` are None from a
+    `backward(..., adapters_only=True)`. Under a stack of K substitute
+    adapters or a (K, n, d) stacked input every field has a leading K axis.
     """
     grad: np.ndarray
     da: list
@@ -157,17 +155,17 @@ def label_positions(labels, shape, num_classes):
                                 (size, num_classes))
 
 
-def forward(net, x, labels=None, params=None):
-    """Hidden states and logits of one sample, of a matrix with one sample
-    per row, or of a (K, n, d) stack of such matrices; with `labels` of
-    shape x.shape[:-1], also the per-sample loss and softmax. `params`
-    optionally maps a layer index to an (a, b) pair used in place of that
-    layer's own adapter: a 2-D pair applies to every sample, a
-    (K, r, d_in) / (K, d_out, r) stack gives the outputs a leading K axis,
-    its k-th adapter meeting the k-th matrix of a stacked input."""
+def forward(net, x, params=None):
+    """Hidden states and logits of a matrix with one sample per row, or of
+    a (K, n, d) stack of such matrices. `params` optionally maps a layer
+    index to an (a, b) pair used in place of that layer's own adapter: a
+    2-D pair applies to every sample, a (K, r, d_in) / (K, d_out, r) stack
+    gives the outputs a leading K axis, its k-th adapter meeting the k-th
+    matrix of a stacked input."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2, 3) or x.shape[-1] != net.input_dim:
-        raise ValueError(f"input shape {x.shape} does not end in ({net.input_dim},)")
+    if x.ndim not in (2, 3) or x.shape[-1] != net.input_dim:
+        raise ValueError(f"input shape {x.shape} is not (n, {net.input_dim}) "
+                         f"or (K, n, {net.input_dim})")
     hidden = []
     h = x
     for li, layer in enumerate(net.layers):
@@ -176,18 +174,7 @@ def forward(net, x, labels=None, params=None):
         z = _matmul(h, layer.w_base.mT) + _matmul(proj, b.mT) + layer.bias
         h = np.maximum(z, 0.0) if layer.activation == "relu" else z
         hidden.append(h)
-    trace = ForwardTrace(hidden=hidden, logits=h)
-    if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape != x.shape[:-1]:
-            raise ValueError(f"label shape {labels.shape} != {x.shape[:-1]}")
-        picks = label_positions(labels, h.shape[:-1], net.num_classes)
-        m = h.max(axis=-1, keepdims=True)
-        e = np.exp(h - m)
-        s = e.sum(axis=-1, keepdims=True)
-        trace.loss = (m + np.log(s))[..., 0] - h.ravel()[picks]
-        trace.probs = e / s
-    return trace
+    return ForwardTrace(hidden=hidden, logits=h)
 
 
 def check_mask(net, mask):
@@ -302,10 +289,10 @@ def backprop(plan, x, picks, fim_rows=None):
 
 def backward(net, x, labels, mask=None, params=None, adapters_only=False):
     """Analytic cross-entropy gradients w.r.t. every A, B and the input, for
-    one sample, a matrix with one sample per row or a (K, n, d) stack of
-    such matrices; dA and dB are summed over the rows. Frozen parameters
-    get no gradient slots. dB reuses the rank-r projection x.A^T of each
-    layer's input that the forward pass computed.
+    a matrix with one sample per row or a (K, n, d) stack of such matrices,
+    with integer labels of shape x.shape[:-1]; dA and dB are summed over
+    the rows. Frozen parameters get no gradient slots. dB reuses the rank-r
+    projection x.A^T of each layer's input that the forward pass computed.
 
     `mask` (optional) holds one boolean vector over output neurons per layer,
     or None for a fully trainable layer. A masked-out neuron's entry of delta
@@ -326,17 +313,9 @@ def backward(net, x, labels, mask=None, params=None, adapters_only=False):
     `backprop`.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:  # a 1-D sample is the n = 1 case, with 1-D shapes
-        g = backward(net, x[None], np.asarray(labels)[None], mask, params,
-                     adapters_only)
-        g.loss = g.loss[..., 0]
-        if not adapters_only:
-            g.fim_rows = [rows[..., 0, :] for rows in g.fim_rows]
-            g.d_input = g.d_input[..., 0, :]
-        return g
     if x.ndim not in (2, 3) or x.shape[-1] != net.input_dim:
-        raise ValueError(f"input shape {x.shape} does not end in "
-                         f"({net.input_dim},)")
+        raise ValueError(f"input shape {x.shape} is not (n, {net.input_dim}) "
+                         f"or (K, n, {net.input_dim})")
     labels = np.asarray(labels)
     if labels.shape != x.shape[:-1]:
         raise ValueError(f"label shape {labels.shape} != {x.shape[:-1]}")

@@ -6,10 +6,12 @@ import pytest
 from fedlora.linalg import make_rng
 from fedlora.network import (LoraLayer, LoraNetwork, build_network,
                              clone_network, forward, set_lora_flat)
+from oracles import cross_entropy
 
 
 def random_small_net(rng, max_params=200):
-    """Random adapter-equipped net with a nonzero B, plus a sample/label."""
+    """Random adapter-equipped net with a nonzero B, plus one sample as a
+    1-row matrix and its label as a (1,) array."""
     while True:
         dim = int(rng.integers(2, 8))
         h1 = int(rng.integers(2, 7))
@@ -23,18 +25,19 @@ def random_small_net(rng, max_params=200):
     for layer in net.layers:
         layer.b = rng.normal(0.0, 0.3, size=layer.b.shape)
         layer.a = rng.normal(0.0, 0.3, size=layer.a.shape)
-    x = rng.normal(size=dim)
-    label = int(rng.integers(0, classes))
+    x = rng.normal(size=(1, dim))
+    label = np.array([rng.integers(0, classes)])
     return net, x, label
 
 
 def flat_loss_fn(net, x, label):
-    """Scalar loss as a function of the flattened adapter vector."""
+    """Summed loss over the rows of `x` as a function of the flattened
+    adapter vector."""
     probe = clone_network(net)
 
     def f(vec):
         set_lora_flat(probe, vec)
-        return forward(probe, x, label).loss
+        return cross_entropy(forward(probe, x).logits, label).sum()
 
     return f
 

@@ -1,8 +1,8 @@
 """Reference computations that only the tests use: a component-by-component
-finite-difference gradient, the trace of a diagonal FIM, local SGD as a
-per-layer loop, the init phase as a loop over the devices, and the
-Dirichlet partition and stratified split as loops over the classes and
-devices."""
+finite-difference gradient, the per-sample cross-entropy of logits, the
+trace of a diagonal FIM, local SGD as a per-layer loop, the init phase as
+a loop over the devices, and the Dirichlet partition and stratified split
+as loops over the classes and devices."""
 
 import math
 from functools import partial
@@ -34,6 +34,16 @@ def finite_diff_gradient(f, x, h=None):
             raise ArithmeticError(f"non-finite evaluation at component {i}")
         g[i] = (fp - fm) / (2.0 * h)
     return g
+
+
+def cross_entropy(logits, labels):
+    """Per-sample softmax cross-entropy of `logits` (..., C) against integer
+    `labels` of shape logits.shape[:-1], in the order of operations of
+    `network.backprop`'s head, so the two agree bit for bit."""
+    m = logits.max(axis=-1, keepdims=True)
+    s = np.exp(logits - m).sum(axis=-1, keepdims=True)
+    picked = np.take_along_axis(logits, np.asarray(labels)[..., None], -1)
+    return (m + np.log(s))[..., 0] - picked[..., 0]
 
 
 def fim_trace(fim):

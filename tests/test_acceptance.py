@@ -18,7 +18,7 @@ from fedlora.gal import (GalDecision, adversarial_noise, eigengap_rank,
 from fedlora.linalg import make_rng
 from fedlora.network import (LoraLayer, LoraNetwork, backward, build_network,
                              flatten_lora, forward, lora_slices)
-from oracles import finite_diff_gradient
+from oracles import cross_entropy, finite_diff_gradient
 from test_engine import reference_fedavg, small_cfg
 
 
@@ -38,7 +38,7 @@ def full_weight_grad_oracle(net, li, x, label):
                                      layer.a.copy(), layer.b.copy(),
                                      layer.bias.copy(), layer.activation)
         probe = LoraNetwork(probe_layers, net.num_classes)
-        return forward(probe, x, label).loss
+        return cross_entropy(forward(probe, x).logits, label).sum()
 
     return finite_diff_gradient(f, layer.w_base.ravel().copy())
 
@@ -60,7 +60,7 @@ def test_criterion_1_gradient_and_fim_oracle():
         tol = np.maximum(1e-4, 1e-3 * np.abs(numeric))
         ok &= bool(np.all(np.abs(flat - numeric) <= tol))
 
-        fim = sample_fim_diag(net, x, label)
+        fim = sample_fim_diag(net, x[0], label[0])
         for li in range(len(net.layers)):
             gw = full_weight_grad_oracle(net, li, x, label)
             want = gw ** 2
@@ -99,12 +99,12 @@ def test_criterion_3_noise_closed_form():
         net, x, label = random_small_net(rng)
         budget = float(rng.uniform(0.05, 0.5))
         eps, degenerate = adversarial_noise(net, x, label, budget, 2.0)
-        if degenerate:
+        if degenerate[0]:
             wins += 1  # no gradient: nothing to beat
             continue
-        ok &= abs(np.linalg.norm(eps) - budget) < 1e-8
-        g = backward(net, x, label).d_input
-        adv_gain = float(g @ eps)  # first-order loss increase
+        ok &= abs(np.linalg.norm(eps[0]) - budget) < 1e-8
+        g = backward(net, x, label).d_input[0]
+        adv_gain = float(g @ eps[0])  # first-order loss increase
         beat_all = True
         for _ in range(100):
             eta = rng.normal(size=x.size)

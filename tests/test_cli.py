@@ -154,7 +154,7 @@ class TestCompareRuns:
     def write_csv(self, path, accs):
         rows = [",".join(CSV_HEADER)]
         for t, acc in enumerate(accs):
-            rows.append(f"{t},0,1.0,{acc},{acc},100,100,0")
+            rows.append(f"{t},0,1.0,{acc},{acc},100,100")
         path.write_text("\n".join(rows) + "\n")
         return path
 
@@ -263,9 +263,9 @@ class TestMainEntryPoint:
     def test_compare_with_a_wrong_field_count_exits_two(self, tmp_path,
                                                         capsys):
         good = tmp_path / "good.csv"
-        good.write_text(",".join(CSV_HEADER) + "\n0,0,1.0,0.5,0.5,100,100,0\n")
+        good.write_text(",".join(CSV_HEADER) + "\n0,0,1.0,0.5,0.5,100,100\n")
         for name, row in (("short.csv", "1,0,1.0,0.6"),
-                          ("long.csv", "1,0,1.0,0.6,0.6,100,100,0,7")):
+                          ("long.csv", "1,0,1.0,0.6,0.6,100,100,7")):
             bad = tmp_path / name
             bad.write_text(good.read_text() + row + "\n")
             assert main(["compare", str(good), str(bad)]) == 2
@@ -276,9 +276,12 @@ class TestMainEntryPoint:
                                                                tmp_path,
                                                                capsys):
         good = tmp_path / "good.csv"
-        good.write_text(",".join(CSV_HEADER) + "\n0,0,1.0,0.5,0.5,100,100,0\n")
+        good.write_text(",".join(CSV_HEADER) + "\n0,0,1.0,0.5,0.5,100,100\n")
+        # old.csv has the schema that carried a wall_ms column
         for name, text in (("hdr.csv", "foo,bar\n"), ("empty.csv", ""),
-                           ("twice.csv", ",".join(CSV_HEADER * 2) + "\n")):
+                           ("twice.csv", ",".join(CSV_HEADER * 2) + "\n"),
+                           ("old.csv", ",".join(CSV_HEADER + ["wall_ms"])
+                            + "\n0,0,1.0,0.5,0.5,100,100,0\n")):
             bad = tmp_path / name
             bad.write_text(text)
             assert main(["compare", str(good), str(bad)]) == 2
@@ -288,10 +291,10 @@ class TestMainEntryPoint:
     def test_compare_with_a_non_numeric_field_exits_two(self, tmp_path,
                                                         capsys):
         good = tmp_path / "good.csv"
-        good.write_text(",".join(CSV_HEADER) + "\n0,0,1.0,0.5,0.5,100,100,0\n")
-        for row, key in (("1,0,1.0,abc,0.6,100,100,0", "weighted_test_acc"),
-                         ("1.5,0,1.0,0.6,0.6,100,100,0", "round"),
-                         ("1,0,1.0,0.6,0.6,100,,0", "bytes_up")):
+        good.write_text(",".join(CSV_HEADER) + "\n0,0,1.0,0.5,0.5,100,100\n")
+        for row, key in (("1,0,1.0,abc,0.6,100,100", "weighted_test_acc"),
+                         ("1.5,0,1.0,0.6,0.6,100,100", "round"),
+                         ("1,0,1.0,0.6,0.6,100,", "bytes_up")):
             bad = tmp_path / "bad.csv"
             bad.write_text(good.read_text() + row + "\n")
             assert main(["compare", str(good), str(bad)]) == 2
@@ -302,13 +305,13 @@ class TestMainEntryPoint:
     def test_read_metrics_converts_the_numeric_fields(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(",".join(CSV_HEADER)
-                        + "\n2,1;3,1.5,0.25,0.125,800,800,0\n")
+                        + "\n2,1;3,1.5,0.25,0.125,800,800\n")
         [row] = read_metrics(path)
         assert row == {"round": 2, "sampled_ids": "1;3", "train_loss": 1.5,
                        "weighted_test_acc": 0.25, "server_view_acc": 0.125,
-                       "bytes_down": 800, "bytes_up": 800, "wall_ms": 0.0}
+                       "bytes_down": 800, "bytes_up": 800}
         assert [type(row[k]) for k in CSV_HEADER] == [
-            int, str, float, float, float, int, int, float]
+            int, str, float, float, float, int, int]
 
 
 def test_smaller_aggregation_payload_when_not_all_layers_sync(tmp_path):

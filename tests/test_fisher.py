@@ -19,20 +19,20 @@ class TestSampleFimDiag:
         # so its squared entries are delta_i^2 x_j^2 = fim_rows_i x_j^2/||x||^2
         for _ in range(10):
             net, x, label = random_small_net(rng)
-            fd = sample_fim_diag(net, x, label)
+            fd = sample_fim_diag(net, x[0], label[0])
             g = backward(net, x, label)
-            inputs = [x] + forward(net, x).hidden[:-1]
+            inputs = [x[0]] + [h[0] for h in forward(net, x).hidden[:-1]]
             for li, x_in in enumerate(inputs):
                 if not x_in.any():  # dead layer input: no gradient
                     assert not fd[li].any()
                     continue
-                want = np.outer(g.fim_rows[li], x_in ** 2 / (x_in @ x_in))
+                want = np.outer(g.fim_rows[li][0], x_in ** 2 / (x_in @ x_in))
                 assert fd[li].shape == want.shape
                 assert np.allclose(fd[li], want, rtol=1e-12, atol=1e-300)
 
     def test_nonnegative_and_finite(self, rng):
         net, x, label = random_small_net(rng)
-        fd = sample_fim_diag(net, x, label)
+        fd = sample_fim_diag(net, x[0], label[0])
         for v in fd:
             assert np.all(v >= 0)
             assert np.all(np.isfinite(v))
@@ -41,7 +41,7 @@ class TestSampleFimDiag:
         # closed form: trace = sum over layers of ||delta||^2 ||x||^2
         for _ in range(10):
             net, x, label = random_small_net(rng)
-            fd = sample_fim_diag(net, x, label)
+            fd = sample_fim_diag(net, x[0], label[0])
             g = backward(net, x, label)
             closed = float(sum(rows.sum() for rows in g.fim_rows))
             assert abs(fim_trace(fd) - closed) <= 1e-12 * fim_trace(fd)
@@ -140,7 +140,7 @@ class TestNeuronScores:
 
     def test_scores_partition_the_layer_trace(self, rng):
         net, x, label = random_small_net(rng)
-        fd = sample_fim_diag(net, x, label)
+        fd = sample_fim_diag(net, x[0], label[0])
         for li in range(len(net.layers)):
             assert abs(neuron_scores(fd, li).sum() - fd[li].sum()) < 1e-12
 

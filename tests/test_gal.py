@@ -7,6 +7,7 @@ from fedlora.gal import (adversarial_noise, aggregate_layer_scores,
                          layer_relative_diff, lipschitz_estimate, select_gal)
 from fedlora.linalg import make_rng
 from fedlora.network import backward, forward
+from oracles import cross_entropy
 
 
 class TestAdversarialNoise:
@@ -14,17 +15,17 @@ class TestAdversarialNoise:
         # gradient (3, 4): the p=2 solution is budget * g / ||g||
         net = single_identity_layer_net(2)
         net.layers[0].a = np.array([[1.0, 0.0]])
-        g = backward(net, np.array([0.3, 0.4]), 1).d_input
-        eps, degenerate = adversarial_noise(net, np.array([0.3, 0.4]), 1,
+        g = backward(net, np.array([[0.3, 0.4]]), [1]).d_input[0]
+        eps, degenerate = adversarial_noise(net, np.array([[0.3, 0.4]]), [1],
                                             1.0, 2.0)
-        assert not degenerate
-        assert np.allclose(eps, g / np.linalg.norm(g))
+        assert not degenerate[0]
+        assert np.allclose(eps[0], g / np.linalg.norm(g))
 
     def test_norm_matches_budget_for_several_p(self, rng):
         net, x, label = random_small_net(rng)
         for p in (1.5, 2.0, 3.0):
             eps, degenerate = adversarial_noise(net, x, label, 0.37, p)
-            assert not degenerate
+            assert not degenerate[0]
             assert abs(np.sum(np.abs(eps) ** p) ** (1.0 / p) - 0.37) < 1e-8
 
     def test_invariant_to_gradient_scale(self, rng):
@@ -46,10 +47,10 @@ class TestAdversarialNoise:
         # with delta = (0.5, -0.5) and W = I gives a nonzero gradient, so
         # instead kill the gradient path by zeroing the base weight too
         net.layers[0].w_base = np.zeros((2, 2))
-        eps, degenerate = adversarial_noise(net, np.array([1.0, 2.0]), 0,
+        eps, degenerate = adversarial_noise(net, np.array([[1.0, 2.0]]), [0],
                                             0.1, 2.0)
-        assert degenerate
-        assert np.array_equal(eps, np.zeros(2))
+        assert degenerate[0]
+        assert np.array_equal(eps[0], np.zeros(2))
 
     def test_beats_random_perturbations_at_first_order(self, rng):
         wins = 0
@@ -58,15 +59,19 @@ class TestAdversarialNoise:
             net, x, label = random_small_net(rng)
             budget = 1e-2 * float(np.linalg.norm(x))
             eps, degenerate = adversarial_noise(net, x, label, budget, 2.0)
-            if degenerate:
+            if degenerate[0]:
                 trials -= 1
                 continue
-            adv = forward(net, x + eps, label).loss
+
+            def loss(v):
+                return cross_entropy(forward(net, v).logits, label)[0]
+
+            adv = loss(x + eps)
             best_random = -np.inf
             for _ in range(20):
                 eta = rng.normal(size=x.size)
                 eta *= budget / np.linalg.norm(eta)
-                best_random = max(best_random, forward(net, x + eta, label).loss)
+                best_random = max(best_random, loss(x + eta))
             wins += adv >= best_random
         assert wins / trials >= 0.9
 
@@ -75,32 +80,32 @@ class TestLayerRelativeDiff:
     def test_zero_perturbation_gives_zero_everywhere(self, rng):
         net, x, _ = random_small_net(rng)
         diffs, degenerate = layer_relative_diff(net, x, np.zeros_like(x))
-        assert not degenerate
-        assert np.array_equal(diffs, np.zeros(len(net.layers)))
+        assert not degenerate[0]
+        assert np.array_equal(diffs[0], np.zeros(len(net.layers)))
 
     def test_identity_layer_hand_value(self):
         net = single_identity_layer_net(2)
-        s = np.array([3.0, 4.0])
+        s = np.array([[3.0, 4.0]])
         diffs, degenerate = layer_relative_diff(net, s, s)
-        assert not degenerate
-        assert abs(diffs[0] - 1.0) < 1e-12  # (10 - 5) / 5
+        assert not degenerate[0]
+        assert abs(diffs[0, 0] - 1.0) < 1e-12  # (10 - 5) / 5
 
     def test_dead_input_coordinate_changes_nothing(self):
         net = single_identity_layer_net(3)
         net.layers[0].w_base = np.array([[1.0, 0.0, 0.0],
                                          [0.0, 1.0, 0.0],
                                          [0.0, 0.0, 0.0]])
-        eps = np.array([0.0, 0.0, 5.0])  # only the ignored coordinate moves
-        diffs, _ = layer_relative_diff(net, np.array([1.0, 2.0, 9.0]), eps)
-        assert np.array_equal(diffs, np.zeros(1))
+        eps = np.array([[0.0, 0.0, 5.0]])  # only the ignored coordinate moves
+        diffs, _ = layer_relative_diff(net, np.array([[1.0, 2.0, 9.0]]), eps)
+        assert np.array_equal(diffs[0], np.zeros(1))
 
     def test_zero_norm_hidden_state_flags_degenerate(self):
         net = single_identity_layer_net(2)
         net.layers[0].w_base = np.zeros((2, 2))
-        diffs, degenerate = layer_relative_diff(net, np.array([1.0, 1.0]),
-                                                np.array([0.1, 0.1]))
-        assert degenerate
-        assert diffs[0] == 0.0
+        diffs, degenerate = layer_relative_diff(net, np.array([[1.0, 1.0]]),
+                                                np.array([[0.1, 0.1]]))
+        assert degenerate[0]
+        assert diffs[0, 0] == 0.0
 
 
 class TestDeviceLayerScores:
@@ -108,15 +113,16 @@ class TestDeviceLayerScores:
         net, x, label = random_small_net(rng)
         eps, _ = adversarial_noise(net, x, label, 0.1, 2.0)
         expect, _ = layer_relative_diff(net, x, eps)
-        got = device_layer_scores(net, [x], [label], 0.1, 2.0)
-        assert np.allclose(got, expect)
+        got = device_layer_scores(net, x, label, 0.1, 2.0)
+        assert np.allclose(got, expect[0])
 
     def test_duplicating_every_sample_changes_nothing(self, rng):
         net, x, label = random_small_net(rng)
         x2 = x + 0.5
-        once = device_layer_scores(net, [x, x2], [label, label], 0.1, 2.0)
-        twice = device_layer_scores(net, [x, x, x2, x2],
-                                    [label, label, label, label], 0.1, 2.0)
+        once = device_layer_scores(net, np.concatenate([x, x2]),
+                                   np.tile(label, 2), 0.1, 2.0)
+        twice = device_layer_scores(net, np.concatenate([x, x, x2, x2]),
+                                    np.tile(label, 4), 0.1, 2.0)
         assert np.allclose(once, twice)
 
     def test_empty_device_rejected(self, rng):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from fedlora.network import (LoraLayer, LoraNetwork, apply_update, backward,
                              build_network, clone_network,
                              dataset_loss_grad_flat, flatten_lora, forward,
                              lora_slices, lora_views, set_lora_flat)
-from oracles import finite_diff_gradient
+from oracles import cross_entropy, finite_diff_gradient
 
 
 def frozen_digest(net):
@@ -26,11 +27,11 @@ class TestForward:
         for layer in net.layers:
             layer.b = rng.normal(size=layer.b.shape)
             layer.a = np.zeros_like(layer.a)
-        x = rng.normal(size=5)
+        x = rng.normal(size=(1, 5))
         got = forward(net, x).logits
         want = x
         for layer in net.layers:
-            want = layer.w_base @ want + layer.bias
+            want = want @ layer.w_base.T + layer.bias
             if layer.activation == "relu":
                 want = np.maximum(want, 0.0)
         assert np.array_equal(got, want)
@@ -39,21 +40,30 @@ class TestForward:
         net = single_identity_layer_net(2)
         net.layers[0].a = np.array([[1.0, 0.0], [0.0, 1.0]])
         net.layers[0].b = np.eye(2)
-        assert np.allclose(forward(net, np.array([1.0, 2.0])).logits, [2.0, 4.0])
+        assert np.allclose(forward(net, np.array([[1.0, 2.0]])).logits,
+                           [[2.0, 4.0]])
 
     def test_repeated_calls_are_identical(self, rng):
         net, x, label = random_small_net(rng)
-        t1 = forward(net, x, label)
-        t2 = forward(net, x, label)
-        assert t1.loss == t2.loss
+        t1 = forward(net, x)
+        t2 = forward(net, x)
+        assert np.array_equal(cross_entropy(t1.logits, label),
+                              cross_entropy(t2.logits, label))
         assert np.array_equal(t1.logits, t2.logits)
         for h1, h2 in zip(t1.hidden, t2.hidden):
             assert np.array_equal(h1, h2)
 
     def test_dimension_mismatch_rejected(self):
+        # a wrong width, and a 1-D sample or a 4-D input of the right width:
+        # both passes take only an (n, d) matrix or a (K, n, d) stack
         net = build_network(4, [3], 2, seed=0)
-        with pytest.raises(ValueError):
-            forward(net, np.zeros(5))
+        for x in (np.zeros((1, 5)), np.zeros(4), np.zeros((2, 1, 1, 4))):
+            labels = np.zeros(x.shape[:-1], dtype=int)
+            for call in (lambda: forward(net, x),
+                         lambda: backward(net, x, labels)):
+                with pytest.raises(ValueError,
+                                   match=re.escape(f"input shape {x.shape}")):
+                    call()
 
     def test_hidden_count_matches_layer_count(self, rng):
         net, x, label = random_small_net(rng)
@@ -77,15 +87,17 @@ class TestBackward:
     def test_input_gradient_matches_finite_difference(self, rng):
         net, x, label = random_small_net(rng)
         g = backward(net, x, label)
-        num = finite_diff_gradient(lambda v: forward(net, v, label).loss, x)
-        assert np.allclose(g.d_input, num, atol=1e-4)
+        num = finite_diff_gradient(
+            lambda v: cross_entropy(forward(net, v[None]).logits, label)[0],
+            x[0])
+        assert np.allclose(g.d_input[0], num, atol=1e-4)
 
     def test_gradient_vanishes_at_saturated_softmax(self):
         net = single_identity_layer_net(2)
         # adapter pushes the true logit far above the other one
         net.layers[0].a = np.array([[1.0, 0.0]])
         net.layers[0].b = np.array([[40.0], [-40.0]])
-        g = backward(net, np.array([1.0, 0.0]), 0)
+        g = backward(net, np.array([[1.0, 0.0]]), [0])
         total = sum(np.linalg.norm(g.da[i]) + np.linalg.norm(g.db[i])
                     for i in range(1))
         assert total < 1e-6
@@ -101,7 +113,8 @@ class TestBackward:
 
     def test_loss_recorded_on_gradients(self, rng):
         net, x, label = random_small_net(rng)
-        assert backward(net, x, label).loss == forward(net, x, label).loss
+        assert np.array_equal(backward(net, x, label).loss,
+                              cross_entropy(forward(net, x).logits, label))
 
 
 class TestBatched:
@@ -117,7 +130,7 @@ class TestBatched:
             mask = [rng.random(l.d_out) < 0.5 for l in net.layers]
             for m in (None, mask):
                 batched = backward(net, xs, ys, mask=m)
-                singles = [backward(net, x, int(y), mask=m)
+                singles = [backward(net, x[None], [y], mask=m)
                            for x, y in zip(xs, ys)]
                 for li in range(len(net.layers)):
                     for name in ("da", "db"):
@@ -126,27 +139,30 @@ class TestBatched:
                                            rtol=1e-12, atol=1e-12)
                     for i, g in enumerate(singles):
                         assert np.allclose(batched.fim_rows[li][i],
-                                           g.fim_rows[li], rtol=1e-12, atol=0)
+                                           g.fim_rows[li][0], rtol=1e-12,
+                                           atol=0)
                 for i, g in enumerate(singles):
-                    assert abs(batched.loss[i] - g.loss) <= 1e-12
-                    assert np.allclose(batched.d_input[i], g.d_input,
+                    assert abs(batched.loss[i] - g.loss[0]) <= 1e-12
+                    assert np.allclose(batched.d_input[i], g.d_input[0],
                                        rtol=1e-12, atol=1e-12)
 
     def test_forward_rows_match_single_sample_calls(self, rng):
         net, xs, ys = self.sample_batch(rng)
-        batched = forward(net, xs, ys)
+        batched = forward(net, xs).logits
         for i, (x, y) in enumerate(zip(xs, ys)):
-            single = forward(net, x, int(y))
-            assert np.allclose(batched.logits[i], single.logits, rtol=1e-12,
-                               atol=1e-12)
-            assert abs(batched.loss[i] - single.loss) <= 1e-12
+            single = forward(net, x[None]).logits
+            assert np.allclose(batched[i], single[0], rtol=1e-12, atol=1e-12)
+            assert abs(cross_entropy(batched, ys)[i]
+                       - cross_entropy(single, [y])[0]) <= 1e-12
 
     def test_one_row_matrix_keeps_matrix_shapes(self, rng):
         net, x, label = random_small_net(rng)
-        g = backward(net, x[None, :], [label])
+        g = backward(net, x, label)
         assert g.d_input.shape == (1, net.input_dim)
         assert g.loss.shape == (1,)
-        assert np.array_equal(g.d_input[0], backward(net, x, label).d_input)
+        # the same row as the one matrix of a (1, 1, d) stack
+        assert np.array_equal(g.d_input[0],
+                              backward(net, x[None], label[None]).d_input[0, 0])
 
     def test_dataset_gradient_is_the_mean(self, rng):
         net, xs, ys = self.sample_batch(rng)
@@ -212,7 +228,7 @@ class TestBatched:
                           rng.normal(0.0, 0.3, size=(k,) + l.b.shape))
                      for li, l in enumerate(net.layers)}
             for m in (None, mask):
-                for x, y in ((xs, ys), (xs[0], int(ys[0]))):
+                for x, y in ((xs, ys), (xs[:1], ys[:1])):
                     for params, lead in ((None, ()), (stack, (k,))):
                         full = backward(net, x, y, mask=m, params=params)
                         lean = backward(net, x, y, mask=m, params=params,
@@ -300,17 +316,16 @@ class TestBatched:
         ys = rng.integers(0, net.num_classes, size=(k, n))
         for inputs, labels in ((xs, ys[0]), (xs, ys[:, :-1]), (xs[0], ys),
                                (xs[0], ys[0, :-1]), (x, [label]),
-                               (xs[0, 0], ys[0])):
-            for fn in (forward, backward):
-                with pytest.raises(ValueError, match="label shape"):
-                    fn(net, inputs, labels)
+                               (xs[0, :1], ys[0])):
+            with pytest.raises(ValueError, match="label shape"):
+                backward(net, inputs, labels)
 
     def test_label_outside_the_classes_rejected(self, rng):
         # the pass reads each label's logit at sample * C + label, so a
         # label outside [0, C) must not reach a neighbouring sample's logits
         k = 3
         net, x, _ = random_small_net(rng)
-        xs = np.stack([x, x])
+        xs = np.concatenate([x, x])
         stack = {li: (rng.normal(0.0, 0.3, size=(k,) + l.a.shape),
                       rng.normal(0.0, 0.3, size=(k,) + l.b.shape))
                  for li, l in enumerate(net.layers)}
@@ -324,8 +339,8 @@ class TestBatched:
                                      params=stack),
                     # a 2-D input under stacked adapters
                     lambda: backward(net, xs, labels, params=stack),
-                    lambda: forward(net, xs, labels),
-                    lambda: forward(net, x, bad)):
+                    # one sample
+                    lambda: backward(net, x, [bad])):
                 with pytest.raises(ValueError):
                     call()
 
@@ -411,8 +426,10 @@ class TestApplyUpdate:
             mask = [None] * top + [m]
             # oracle: dA = sum over kept neurons mu of b[mu] * delta[mu] x^T,
             # with the top layer's delta = softmax - one-hot
-            delta = forward(net, x, label).probs - np.eye(net.num_classes)[label]
-            x_in = forward(net, x).hidden[top - 1]
+            trace = forward(net, x)
+            e = np.exp(trace.logits[0] - trace.logits[0].max())
+            delta = e / e.sum() - np.eye(net.num_classes)[label[0]]
+            x_in = trace.hidden[top - 1][0]
             want = np.outer(layer.b[m].T @ delta[m], x_in)
             g = backward(net, x, label, mask=mask)
             assert np.allclose(g.da[top], want, rtol=1e-12, atol=1e-14)
