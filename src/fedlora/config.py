@@ -87,6 +87,7 @@ class ExperimentConfig:
         check(self.dirichlet_alpha > 0, "dirichlet_alpha", "must be positive")
         check(0 < self.train_fraction < 1, "train_fraction", "must lie in (0, 1)")
         check(self.mode in MODES, "mode", f"must be one of {MODES}")
+        check(self.seed >= 0, "seed", "must be >= 0")
         total = self.num_classes * self.per_class
         check(self.devices * self.min_shard <= total, "devices",
               f"{self.devices} devices need {self.devices * self.min_shard} "

@@ -22,8 +22,7 @@ from .linalg import finite_diff_hessian, make_rng
 from .masking import NeuronMask, build_mask, layer_ratio, masked_param_count
 from .network import (StepPlan, backprop, backward, build_network,
                       clone_network, dataset_loss_grad_flat, flatten_lora,
-                      forward, label_positions, lora_slices, lora_views,
-                      set_lora_flat)
+                      forward, label_positions, lora_slices, lora_views)
 
 RANK_EPS = 1e-8  # relative eigenvalue cutoff for the numerical Hessian rank
 
@@ -33,8 +32,12 @@ _sum = np.add.reduce
 
 @dataclass
 class DeviceState:
+    """One device. The engine reads and writes only `adapters`: its float64
+    row, in `flatten_lora` order, of the (D, P) store of `build_devices`.
+    `net` shares the frozen base; its layers' a, b are views of that row."""
     k: int
     net: object
+    adapters: np.ndarray
     train: object
     test: object
     batches: list = field(default_factory=list)      # index arrays into train
@@ -49,7 +52,7 @@ class DeviceState:
 @dataclass
 class ServerState:
     gal: gal_mod.GalDecision
-    gal_params: dict             # layer index -> (a, b)
+    gal_params: dict  # GAL layer index -> (a, b) views of the mean adapters
 
 
 @dataclass
@@ -72,18 +75,20 @@ def make_batches(n, batch_size):
 
 def build_devices(cfg):
     """Dataset generation, Dirichlet sharding, and identically-initialized
-    per-device networks: clones of one base network that share its frozen
-    weights and copy its adapters."""
+    devices: one (D, P) adapter store whose rows all start as the base
+    network's flat adapters, and per device a clone of the base network
+    that shares its frozen weights and views its row."""
     ds = generate(cfg.num_classes, cfg.per_class, cfg.dim, cfg.class_sep,
                   make_rng(cfg.seed, 0xDA))
     shards = dirichlet_partition(ds, cfg.devices, cfg.dirichlet_alpha,
                                  cfg.min_shard, cfg.seed)
     base = build_network(cfg.dim, cfg.hidden_dims, cfg.num_classes,
                          rank=cfg.lora_rank, seed=cfg.seed)
+    store = np.tile(flatten_lora(base), (len(shards), 1))
     devices = []
-    for k, shard in enumerate(shards):
+    for k, (shard, net) in enumerate(zip(shards, clone_network(base, store))):
         train, test = split(shard, cfg.train_fraction, make_rng(cfg.seed, 0x57, k))
-        dev = DeviceState(k=k, net=clone_network(base), train=train, test=test)
+        dev = DeviceState(k, net, store[k], train, test)
         dev.batches = make_batches(len(train), cfg.batch_size)
         dev.batch_order = list(range(len(dev.batches)))
         devices.append(dev)
@@ -150,7 +155,8 @@ def _lockstep_passes(devices, cfg):
     noise probes score the layers at the initial point (GAL on); the
     momentum-FIM and warmup SGD epochs follow, each SGD step j one pass over
     the devices grouped by the size of their batch j (a device leaves once
-    it has no batch j), and the post-warmup adapters are written back.
+    it has no batch j). The passes step on a gathered copy of the devices'
+    adapter rows, copied back in place at the end.
     Returns the momentum FIM, one (D, d_out, 1) row-sum stack per layer, and
     the layer scores (D, L), None with the GAL off. `init_phase` runs these
     passes only with the GAL or the masks on: no mode has the curriculum on
@@ -158,10 +164,11 @@ def _lockstep_passes(devices, cfg):
 
     Each epoch runs every group of its passes before it raises: the error
     names the first epoch in which a device failed and the lowest failing
-    device id in it.
+    device id in it. A non-finite layer score raises after the epochs, naming
+    the lowest device id whose scores hold one.
     """
     net = devices[0].net
-    flat = np.array([flatten_lora(dev.net) for dev in devices])
+    flat = np.array([dev.adapters for dev in devices])
     whole = _groups(devices, [np.arange(dev.n_k) for dev in devices])
     fim = [np.empty((len(devices), l.d_out, 1)) for l in net.layers]
     scores = None
@@ -206,8 +213,11 @@ def _lockstep_passes(devices, cfg):
                 "non-finite loss or gradient on device "
                 f"{min(devices[i].k for i in failed)}, warmup epoch {epoch}")
 
+    for dev, row in zip(devices, () if scores is None else scores):
+        if not _all(np.isfinite(row)):  # devices come in ascending id order
+            raise ArithmeticError(f"non-finite layer score on device {dev.k}")
     for dev, p in zip(devices, flat):
-        set_lora_flat(dev.net, p)
+        dev.adapters[...] = p
     return fim, scores
 
 
@@ -220,7 +230,7 @@ def device_init_analysis(dev, cfg, p0):
     around the warmup displacement from `p0`, the initial flat adapters.
     Layer-block ranks reuse the Hessian's diagonal blocks.
     """
-    p_t = flatten_lora(dev.net)
+    p_t = dev.adapters
     sub = min(cfg.hessian_samples, dev.n_k)
     grad_fn = partial(dataset_loss_grad_flat, dev.net,
                       dev.train.features[:sub], dev.train.labels[:sub])
@@ -255,8 +265,8 @@ def init_phase(devices, cfg):
 
     num_layers = len(devices[0].net.layers)
     need_analysis = cfg.gal_on or cfg.mask_on
-    p0 = flatten_lora(devices[0].net)
-    if need_analysis and any(not np.array_equal(flatten_lora(dev.net), p0)
+    p0 = devices[0].adapters.copy()
+    if need_analysis and any(not np.array_equal(dev.adapters, p0)
                              for dev in devices):
         raise ValueError("devices do not start from the same adapters")
     if need_analysis:
@@ -292,12 +302,8 @@ def init_phase(devices, cfg):
                     row, layer_ratio(*analysis[dev.k][1][li]))
 
     # the initial GAL parameters: the weighted mean over every device
-    server = ServerState(gal=decision, gal_params={
-        li: (l.a, l.b) for li, l in enumerate(devices[0].net.layers)
-        if li in gal_layers})
-    fedavg_gal(server, [(dev.n_k, {li: (l.a, l.b) for li, l
-                                   in enumerate(dev.net.layers)})
-                        for dev in devices])
+    server = ServerState(gal=decision, gal_params={})
+    fedavg_gal(server, devices)
     return server, devices
 
 
@@ -309,20 +315,21 @@ def sample_devices(num_devices, count, rng):
 
 
 def local_round(dev, gal_params, t, cfg):
-    """Sync the GAL layers from the server, train on the curriculum-selected
-    batches, and return this device's updated GAL parameters and mean loss.
+    """Sync the GAL layers from the server, train the device's adapter row in
+    place on the curriculum-selected batches, and return the mean loss.
 
-    The round is set up once: the adapters become one flat vector `p`, an
-    unstacked `StepPlan` fixes the views into it, the validated mask and the
-    gradient buffer, and the selected batches' rows and label positions are
-    gathered. Each of the `local_iterations` epochs then runs one
-    `backprop` (the pass every `backward` ends in) per batch and one
-    `p -= lr * grad`, elementwise the same as `apply_update`; a non-finite
-    loss or gradient raises ArithmeticError naming the device and round.
-    The adapters are written back from `p` once, at the end of the round."""
+    The round is set up once: the GAL layers are written into views of
+    `dev.adapters`, an unstacked `StepPlan` fixes those views, the validated
+    mask and the gradient buffer, and the selected batches' rows and label
+    positions are gathered. Each of the `local_iterations` epochs then runs
+    one `backprop` (the pass every `backward` ends in) per batch and one
+    `dev.adapters -= lr * grad`, elementwise the same as `apply_update`; a
+    non-finite loss or gradient raises ArithmeticError naming the device
+    and round. `dev.net` views the same row, so nothing is written back."""
+    views = lora_views(dev.net, dev.adapters)
     for li, (a, b) in gal_params.items():
-        dev.net.layers[li].a = a.copy()
-        dev.net.layers[li].b = b.copy()
+        views[li][0][...] = a
+        views[li][1][...] = b
 
     if cfg.curriculum_on:
         pacing = curriculum.PacingConfig(cfg.beta, cfg.alpha, cfg.pace,
@@ -332,10 +339,9 @@ def local_round(dev, gal_params, t, cfg):
     else:
         selected = range(len(dev.batches))
 
-    p = flatten_lora(dev.net)
-    plan = StepPlan(dev.net, lora_views(dev.net, p).values(),
+    plan = StepPlan(dev.net, views.values(),
                     dev.mask.per_layer if dev.mask is not None else None)
-    grad, lr = plan.grad, cfg.lr
+    p, grad, lr = dev.adapters, plan.grad, cfg.lr
     # one gather of the selected rows; batch b is the slice [s, e) of it,
     # and its label positions count from its own first row
     rows = np.concatenate([dev.batches[j] for j in selected])
@@ -357,37 +363,22 @@ def local_round(dev, gal_params, t, cfg):
             epoch.append(loss)
         epoch = np.concatenate(epoch)
         losses.append(float(_sum(epoch) / epoch.size))  # np.mean, unwrapped
-    set_lora_flat(dev.net, p)
-
-    update = {li: (dev.net.layers[li].a.copy(), dev.net.layers[li].b.copy())
-              for li in gal_params}
-    return update, float(_sum(losses) / len(losses))
+    return float(_sum(losses) / len(losses))
 
 
-def fedavg_gal(server, updates):
-    """Weighted mean of participating devices' GAL parameters in place.
-
-    `updates` is a list of (n_k, {layer: (a, b)}), iterated in the given
-    (ascending device id) order; weights renormalize over participants.
-    """
-    if not updates:
-        raise ValueError("no updates to aggregate")
-    m = sum(n_k for n_k, _ in updates)
-    if m <= 0:
-        raise ValueError("zero total aggregation weight")
-    fresh = {}
-    for li, (a0, b0) in server.gal_params.items():
-        a = np.zeros_like(a0)
-        b = np.zeros_like(b0)
-        for n_k, params in updates:
-            if (li not in params or params[li][0].shape != a.shape
-                    or params[li][1].shape != b.shape):
-                raise ValueError("update shape mismatch")
-            w = n_k / m
-            a += w * params[li][0]
-            b += w * params[li][1]
-        fresh[li] = (a, b)
-    server.gal_params = fresh
+def fedavg_gal(server, devices):
+    """Set the server's GAL parameters to the participants' weighted mean:
+    the sum of n_k / m * `dev.adapters` over `devices` in the given
+    (ascending id) order, m their total sample count. `server.gal_params`
+    becomes views of it for the GAL layers, in ascending order."""
+    if not devices:
+        raise ValueError("no devices to aggregate")
+    m = sum(dev.n_k for dev in devices)
+    mean = np.zeros_like(devices[0].adapters)
+    for dev in devices:
+        mean += dev.n_k / m * dev.adapters
+    views = lora_views(devices[0].net, mean)
+    server.gal_params = {li: views[li] for li in sorted(server.gal.gal_layers)}
 
 
 def gal_payload_params(net, gal_layers):
@@ -417,11 +408,10 @@ def pad_test_sets(devices):
 
 def stack_local_adapters(devices, gal_layers):
     """Every device's non-GAL adapters stacked along a leading device axis:
-    layer index -> (A (D, r, d_in), B (D, d_out, r)), copies."""
-    return {li: (np.array([dev.net.layers[li].a for dev in devices]),
-                 np.array([dev.net.layers[li].b for dev in devices]))
-            for li in range(len(devices[0].net.layers))
-            if li not in gal_layers}
+    layer index -> (A (D, r, d_in), B (D, d_out, r)), views of one copy of
+    the devices' adapter rows."""
+    views = lora_views(devices[0].net, np.array([d.adapters for d in devices]))
+    return {li: pair for li, pair in views.items() if li not in gal_layers}
 
 
 def evaluate(server, devices, tests, snapshot):
@@ -466,13 +456,9 @@ def run(cfg):
         started = time.perf_counter()
         sampled = sample_devices(cfg.devices, cfg.sampled_per_round,
                                  make_rng(cfg.seed, 0x5E, t))
-        updates = []
-        losses = []
-        for k in sampled:
-            update, loss = local_round(devices[k], server.gal_params, t, cfg)
-            updates.append((devices[k].n_k, update))
-            losses.append(loss)
-        fedavg_gal(server, updates)
+        losses = [local_round(devices[k], server.gal_params, t, cfg)
+                  for k in sampled]
+        fedavg_gal(server, [devices[k] for k in sampled])
         down, up = comm_bytes(payload, len(sampled))
         acc, view = evaluate(server, devices, tests, snapshot)
         reports.append(RoundReport(

@@ -121,7 +121,8 @@ def eigengap_rank(eigenvalues, lipschitz):
 
 def gal_count(per_device, num_layers, mu):
     """Expected GAL size: weighted mean of per-device (1 - r/R)*L, scaled by
-    mu, rounded, clamped to [1, L]."""
+    mu, clamped to [1, L] (the upper bound before rounding, so a huge mu
+    cannot overflow to an infinite count)."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     total = sum(n_k for n_k, _, _ in per_device)
@@ -132,8 +133,7 @@ def gal_count(per_device, num_layers, mu):
         if cap_r_k < 1 or not 0 <= r_k <= cap_r_k:
             raise ValueError(f"invalid ranks r={r_k}, R={cap_r_k}")
         acc += n_k * (1.0 - r_k / cap_r_k) * num_layers
-    n_star = int(round(mu * acc / total))
-    return max(1, min(n_star, num_layers))
+    return max(1, int(round(min(mu * acc / total, num_layers))))
 
 
 def select_gal(global_scores, n_star):

@@ -126,12 +126,14 @@ def build_network(input_dim, hidden_dims, num_classes, rank=2, seed=0):
     return LoraNetwork(layers, num_classes)
 
 
-def clone_network(net):
-    layers = [
-        LoraLayer(l.w_base, l.a.copy(), l.b.copy(), l.bias, l.activation)
-        for l in net.layers
-    ]
-    return LoraNetwork(layers, net.num_classes)
+def clone_network(net, store):
+    """One network per row of `store`, a (D, P) stack of flat adapters: each
+    shares `net`'s frozen base, and its a, b are reshaped views of its row."""
+    views = lora_views(net, store).values()
+    return [LoraNetwork([LoraLayer(l.w_base, a[i], b[i], l.bias, l.activation)
+                         for l, (a, b) in zip(net.layers, views)],
+                        net.num_classes)
+            for i in range(len(store))]
 
 
 def _matmul(a, b, out=None):

@@ -5,7 +5,8 @@ import pytest
 
 from fedlora.linalg import make_rng
 from fedlora.network import (LoraLayer, LoraNetwork, build_network,
-                             clone_network, forward, set_lora_flat)
+                             clone_network, flatten_lora, forward,
+                             set_lora_flat)
 from oracles import cross_entropy
 
 
@@ -30,10 +31,16 @@ def random_small_net(rng, max_params=200):
     return net, x, label
 
 
+def copy_network(net):
+    """A network sharing `net`'s frozen base whose adapters are a copy of
+    `net`'s: the one clone of a one-row adapter store."""
+    return clone_network(net, flatten_lora(net)[None])[0]
+
+
 def flat_loss_fn(net, x, label):
     """Summed loss over the rows of `x` as a function of the flattened
     adapter vector."""
-    probe = clone_network(net)
+    probe = copy_network(net)
 
     def f(vec):
         set_lora_flat(probe, vec)

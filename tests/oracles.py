@@ -1,8 +1,9 @@
 """Reference computations that only the tests use: a component-by-component
 finite-difference gradient, the per-sample cross-entropy of logits, the
-trace of a diagonal FIM, local SGD as a per-layer loop, the init phase as
-a loop over the devices, and the Dirichlet partition and stratified split
-as loops over the classes and devices."""
+trace of a diagonal FIM, local SGD and the weighted adapter mean as
+per-layer loops, the init phase as a loop over the devices, and the
+Dirichlet partition and stratified split as loops over the classes and
+devices."""
 
 import math
 from functools import partial
@@ -80,11 +81,12 @@ def reference_epoch(dev, cfg, batch_ids, phase, mask=None):
 def reference_local_round(dev, gal_params, t, cfg):
     """`engine.local_round` as a per-layer loop: sync the GAL layers, then
     `local_iterations` epochs of `reference_epoch` over the
-    curriculum-selected batches with the device's mask. Returns (update,
-    mean of the epochs' mean losses)."""
+    curriculum-selected batches with the device's mask. Writes only through
+    `dev.net`'s layers, in place, and returns the mean of the epochs' mean
+    losses."""
     for li, (a, b) in gal_params.items():
-        dev.net.layers[li].a = a.copy()
-        dev.net.layers[li].b = b.copy()
+        dev.net.layers[li].a[...] = a
+        dev.net.layers[li].b[...] = b
     if cfg.curriculum_on:
         pacing = curriculum.PacingConfig(cfg.beta, cfg.alpha, cfg.pace,
                                          cfg.batch_size, cfg.rounds)
@@ -94,9 +96,24 @@ def reference_local_round(dev, gal_params, t, cfg):
     losses = [reference_epoch(dev, cfg, selected, f"round {t}",
                               dev.mask.per_layer)
               for _ in range(cfg.local_iterations)]
-    update = {li: (dev.net.layers[li].a.copy(), dev.net.layers[li].b.copy())
-              for li in gal_params}
-    return update, float(np.mean(losses))
+    return float(np.mean(losses))
+
+
+def layer_mean(devices, layers):
+    """`engine.fedavg_gal`'s mean as a per-layer loop over the devices'
+    `net` layers: layer index -> (a, b), the sum of n_k / m times each
+    device's pair, m the devices' total sample count, for `layers` in
+    ascending order."""
+    m = sum(dev.n_k for dev in devices)
+    mean = {}
+    for li in sorted(layers):
+        a = np.zeros_like(devices[0].net.layers[li].a)
+        b = np.zeros_like(devices[0].net.layers[li].b)
+        for dev in devices:
+            a += dev.n_k / m * dev.net.layers[li].a
+            b += dev.n_k / m * dev.net.layers[li].b
+        mean[li] = (a, b)
+    return mean
 
 
 def per_device_init_phase(devices, cfg):
@@ -151,12 +168,8 @@ def per_device_init_phase(devices, cfg):
                                                layer_ratio(*blocks[li]))
         dev.mask = NeuronMask(per_layer)
 
-    server = engine.ServerState(gal=decision, gal_params={
-        li: (l.a, l.b) for li, l in enumerate(devices[0].net.layers)
-        if li in gal_layers})
-    engine.fedavg_gal(server, [(dev.n_k, {li: (l.a, l.b) for li, l
-                                          in enumerate(dev.net.layers)})
-                               for dev in devices])
+    server = engine.ServerState(gal=decision,
+                                gal_params=layer_mean(devices, gal_layers))
     return server, devices
 
 

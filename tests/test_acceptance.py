@@ -134,25 +134,25 @@ def test_criterion_4_eigengap_oracle():
 
 def test_criterion_5_fedavg_oracle_and_baseline_equivalence():
     rng = make_rng(0xACC5)
-    shapes = {0: ((2, 4), (5, 2)), 1: ((1, 5), (3, 1))}
+    devices = build_devices(small_cfg(devices=8))
     ok = True
     for _ in range(100):
-        params = {li: (rng.normal(size=sa), rng.normal(size=sb))
-                  for li, (sa, sb) in shapes.items()}
-        server = ServerState(
-            gal=GalDecision(gal_layers=set(shapes), n_star=2),
-            gal_params=params)
-        updates = []
-        for _ in range(int(rng.integers(1, 8))):
-            n_k = int(rng.integers(1, 100))
-            upd = {li: (rng.normal(size=sa), rng.normal(size=sb))
-                   for li, (sa, sb) in shapes.items()}
-            updates.append((n_k, upd))
-        fedavg_gal(server, updates)
-        m = sum(n for n, _ in updates)
-        for li in shapes:
-            for j in range(2):
-                want = sum(n / m * p[li][j] for n, p in updates)
+        # random adapters on every device, a random GAL and a random
+        # participant subset, in ascending id order
+        for dev in devices:
+            dev.adapters[...] = rng.normal(size=dev.adapters.shape)
+        gal = {li for li in range(3) if rng.random() < 0.6} or {0}
+        part = [devices[k] for k in sorted(rng.choice(
+            len(devices), size=int(rng.integers(1, 9)), replace=False))]
+        server = ServerState(gal=GalDecision(gal_layers=gal, n_star=len(gal)),
+                             gal_params={})
+        fedavg_gal(server, part)
+        ok &= sorted(server.gal_params) == sorted(gal)
+        m = sum(dev.n_k for dev in part)
+        for li in gal:
+            for j, name in enumerate("ab"):
+                want = sum(dev.n_k / m * getattr(dev.net.layers[li], name)
+                           for dev in part)
                 ok &= bool(np.allclose(server.gal_params[li][j], want,
                                        atol=1e-12))
 
@@ -166,11 +166,9 @@ def test_criterion_5_fedavg_oracle_and_baseline_equivalence():
     for t in range(cfg.rounds):
         sampled = sample_devices(cfg.devices, cfg.sampled_per_round,
                                  make_rng(cfg.seed, 0x5E, t))
-        updates = []
         for k in sampled:
-            update, _ = local_round(devices[k], server.gal_params, t, cfg)
-            updates.append((devices[k].n_k, update))
-        fedavg_gal(server, updates)
+            local_round(devices[k], server.gal_params, t, cfg)
+        fedavg_gal(server, [devices[k] for k in sampled])
         for li in server.gal_params:
             ok &= bool(np.array_equal(server.gal_params[li][0], want[t][li][0]))
             ok &= bool(np.array_equal(server.gal_params[li][1], want[t][li][1]))

@@ -88,6 +88,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"^{key}: "):
             parse_config(f"{key}: {value}\n")
 
+    def test_negative_seed_rejected_naming_the_key(self):
+        with pytest.raises(ConfigError, match="^seed: "):
+            parse_config("seed: -1\n")
+
     def test_cross_field_violations_rejected(self):
         with pytest.raises(ConfigError, match="sampled_per_round"):
             parse_config("devices: 4\nsampled_per_round: 9\n")
@@ -210,6 +214,29 @@ class TestMainEntryPoint:
         cfg_path.write_text(f"{key}: .inf\n")
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         assert f"{key}: expected a finite number" in capsys.readouterr().err
+
+    def test_negative_seed_exits_one_naming_the_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(small_yaml(seed=-1))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert "config error: seed: " in capsys.readouterr().err
+        assert main(["run", "-", "--seed", "-3",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "config error: seed: " in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("key, value", [("p_norm", 1.0000001),
+                                            ("noise_budget", 1.0e200)])
+    def test_non_finite_layer_scores_exit_two(self, tmp_path, capsys, key,
+                                              value):
+        # the noise probes give NaN (p_norm) or infinite (noise_budget)
+        # scores on every device; the GAL is not chosen from them
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(small_yaml(mode="fibecfed", mu=0.5,
+                                       lipschitz_points=8, hessian_samples=2,
+                                       **{key: value}))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "non-finite layer score on device 0" in capsys.readouterr().err
 
     def test_mode_override_applies(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"

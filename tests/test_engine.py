@@ -15,9 +15,9 @@ from fedlora.engine import (DeviceState, ServerState, build_devices,
 from fedlora.gal import GalDecision, eigengap_rank
 from fedlora.linalg import eigh_symmetric, make_rng
 from fedlora.network import (apply_update, backward, build_network,
-                             clone_network, forward, lora_views,
-                             set_lora_flat)
-from oracles import fim_trace, per_device_init_phase, reference_local_round
+                             clone_network, flatten_lora, forward, lora_views)
+from oracles import (fim_trace, layer_mean, per_device_init_phase,
+                     reference_local_round)
 
 
 def small_cfg(**overrides):
@@ -72,6 +72,50 @@ class TestBuildDevices:
             ExperimentConfig(devices=126).validate()
 
 
+def assert_one_adapter_owner(devices):
+    """Every device's `net` adapters view its `adapters` row and flatten to
+    it, and the rows are the consecutive rows of one (D, P) array."""
+    first = devices[0].adapters
+    size = first.size
+    owner = first.base
+    assert owner is not None and owner.size == len(devices) * size
+    for i, dev in enumerate(devices):
+        assert dev.adapters.base is owner and dev.adapters.dtype == np.float64
+        assert dev.adapters.ctypes.data == first.ctypes.data + i * size * 8
+        for layer in dev.net.layers:
+            assert np.shares_memory(layer.a, dev.adapters)
+            assert np.shares_memory(layer.b, dev.adapters)
+        assert np.array_equal(flatten_lora(dev.net), dev.adapters)
+
+
+class TestAdapterOwnership:
+    """The engine reads and writes only `DeviceState.adapters`; `net`'s
+    adapters are views of it. `copy.deepcopy` of a device gives its layers
+    and its row separate copies, so the views are gone: tests run the engine
+    only on devices that were not deep-copied."""
+
+    def test_build_init_and_run_keep_one_owner(self, monkeypatch):
+        cfg = small_cfg(mu=0.5, lipschitz_points=8, hessian_samples=2)
+        devices = build_devices(cfg)
+        assert_one_adapter_owner(devices)
+        seen = []
+
+        def init_hook(*args):
+            server, devices = init_phase(*args)
+            assert_one_adapter_owner(devices)
+            seen.append(server)
+            return server, devices
+
+        monkeypatch.setattr(engine, "init_phase", init_hook)
+        _, _, server, devices = run(cfg)
+        assert seen == [server]
+        assert_one_adapter_owner(devices)
+
+    def test_a_deep_copy_has_no_views(self):
+        dev = copy.deepcopy(build_devices(small_cfg())[0])
+        assert not np.shares_memory(dev.net.layers[0].a, dev.adapters)
+
+
 class TestSampleDevices:
     def test_full_sample_returns_everyone(self):
         assert sample_devices(5, 5, make_rng(0)) == [0, 1, 2, 3, 4]
@@ -93,68 +137,69 @@ class TestSampleDevices:
             sample_devices(4, 0, make_rng(0))
 
 
-class TestFedavgGal:
-    def fake_server(self, shapes, rng):
-        params = {li: (rng.normal(size=sa), rng.normal(size=sb))
-                  for li, (sa, sb) in shapes.items()}
-        decision = GalDecision(gal_layers=set(shapes), n_star=len(shapes))
-        return ServerState(gal=decision, gal_params=params)
+def fake_server(gal_layers):
+    decision = GalDecision(gal_layers=set(gal_layers), n_star=len(gal_layers))
+    return ServerState(gal=decision, gal_params={})
 
+
+def random_devices(rng):
+    """`build_devices` of the small config at 8 devices (shards 13, 13, 13,
+    14, 14, 10, 12, 7), with a random adapter row on every device."""
+    devices = build_devices(small_cfg(devices=8))
+    for dev in devices:
+        dev.adapters[...] = rng.normal(size=dev.adapters.shape)
+    return devices
+
+
+class TestFedavgGal:
     def test_matches_brute_force_weighted_mean(self):
         rng = make_rng(42)
-        shapes = {0: ((2, 3), (4, 2)), 2: ((2, 5), (3, 2))}
         for _ in range(100):
-            server = self.fake_server(shapes, rng)
-            updates = []
-            for _ in range(int(rng.integers(1, 6))):
-                n_k = int(rng.integers(1, 50))
-                params = {li: (rng.normal(size=sa), rng.normal(size=sb))
-                          for li, (sa, sb) in shapes.items()}
-                updates.append((n_k, params))
-            fedavg_gal(server, updates)
-            m = sum(n for n, _ in updates)
-            for li in shapes:
-                want_a = sum(n / m * p[li][0] for n, p in updates)
-                want_b = sum(n / m * p[li][1] for n, p in updates)
+            devices = random_devices(rng)
+            gal = {li for li in range(3) if rng.random() < 0.6} or {1}
+            picked = sorted(rng.choice(len(devices), replace=False,
+                                       size=int(rng.integers(1, 9))))
+            part = [devices[k] for k in picked]
+            server = fake_server(gal)
+            fedavg_gal(server, part)
+            assert list(server.gal_params) == sorted(gal)
+            m = sum(dev.n_k for dev in part)
+            for li in gal:
+                want_a = sum(d.n_k / m * d.net.layers[li].a for d in part)
+                want_b = sum(d.n_k / m * d.net.layers[li].b for d in part)
                 assert np.allclose(server.gal_params[li][0], want_a, atol=1e-12)
                 assert np.allclose(server.gal_params[li][1], want_b, atol=1e-12)
 
     def test_identical_updates_leave_values_unchanged(self):
-        rng = make_rng(1)
-        shapes = {0: ((2, 2), (2, 2))}
-        server = self.fake_server(shapes, rng)
-        a = rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2))
-        fedavg_gal(server, [(3, {0: (a, b)}), (7, {0: (a.copy(), b.copy())})])
-        assert np.allclose(server.gal_params[0][0], a)
-        assert np.allclose(server.gal_params[0][1], b)
+        devices = random_devices(make_rng(1))[2:4]
+        devices[1].adapters[...] = devices[0].adapters
+        assert devices[0].n_k != devices[1].n_k
+        server = fake_server({0})
+        fedavg_gal(server, devices)
+        assert np.allclose(server.gal_params[0][0], devices[0].net.layers[0].a)
+        assert np.allclose(server.gal_params[0][1], devices[0].net.layers[0].b)
 
     def test_weighted_scalar_case(self):
-        server = self.fake_server({0: ((1, 1), (1, 1))}, make_rng(0))
-        updates = [(1, {0: (np.zeros((1, 1)), np.zeros((1, 1)))}),
-                   (3, {0: (np.full((1, 1), 4.0), np.full((1, 1), 4.0))})]
-        fedavg_gal(server, updates)
+        # 1x1 adapters, weights 1 and 3 over values 0 and 4
+        net = build_network(1, [1], 1, rank=1)
+        store = np.array([np.zeros(4), np.full(4, 4.0)])
+        devices = [DeviceState(k, clone, row, np.zeros(n), None)
+                   for k, (clone, row, n)
+                   in enumerate(zip(clone_network(net, store), store, (1, 3)))]
+        server = fake_server({0})
+        fedavg_gal(server, devices)
         assert server.gal_params[0][0][0, 0] == 3.0
 
     def test_single_participant_verbatim(self):
-        rng = make_rng(2)
-        server = self.fake_server({1: ((2, 3), (4, 2))}, rng)
-        a = rng.normal(size=(2, 3))
-        b = rng.normal(size=(4, 2))
-        fedavg_gal(server, [(9, {1: (a, b)})])
-        assert np.allclose(server.gal_params[1][0], a)
-        assert np.allclose(server.gal_params[1][1], b)
+        dev = random_devices(make_rng(2))[3]
+        server = fake_server({1})
+        fedavg_gal(server, [dev])
+        assert np.allclose(server.gal_params[1][0], dev.net.layers[1].a)
+        assert np.allclose(server.gal_params[1][1], dev.net.layers[1].b)
 
-    def test_empty_and_mismatched_updates_rejected(self):
-        server = self.fake_server({0: ((2, 2), (2, 2))}, make_rng(3))
-        with pytest.raises(ValueError):
-            fedavg_gal(server, [])
-        with pytest.raises(ValueError):
-            fedavg_gal(server, [(1, {0: (np.zeros((3, 3)), np.zeros((2, 2)))})])
-        with pytest.raises(ValueError):  # B broadcast from one row
-            fedavg_gal(server, [(1, {0: (np.zeros((2, 2)), np.zeros((1, 2)))})])
-        with pytest.raises(ValueError):
-            fedavg_gal(server, [(1, {2: (np.zeros((2, 2)), np.zeros((2, 2)))})])
+    def test_empty_participant_list_rejected(self):
+        with pytest.raises(ValueError, match="no devices"):
+            fedavg_gal(fake_server({0}), [])
 
 
 class TestCommBytes:
@@ -281,8 +326,7 @@ class TestStackedPasses:
                 for i in range(g_count):
                     # the oracle's forms: a device's own adapters for the
                     # Fisher passes, views of its flat vector for training
-                    own = clone_network(net)
-                    set_lora_flat(own, flat[i])
+                    [own] = clone_network(net, flat[i:i + 1].copy())
                     single = backward(own, xs[i], ys[i])
                     p = flat[i].copy()
                     step = backward(net, xs[i], ys[i],
@@ -369,22 +413,28 @@ class TestLockstepInit:
 
 
 class TestLocalRound:
-    def test_zero_learning_rate_returns_broadcast_params(self):
+    def test_zero_learning_rate_keeps_broadcast_params(self):
         cfg = small_cfg(mode="fedavg-lora")
         server, devices = init_phase(build_devices(cfg), cfg)
         frozen_cfg = ExperimentConfig(**{**cfg.__dict__, "lr": 0.0})
-        update, loss = local_round(devices[0], server.gal_params, 0, frozen_cfg)
-        assert math.isfinite(loss)
+        loss = local_round(devices[0], server.gal_params, 0, frozen_cfg)
+        assert isinstance(loss, float) and math.isfinite(loss)
         for li, (a, b) in server.gal_params.items():
-            assert np.array_equal(update[li][0], a)
-            assert np.array_equal(update[li][1], b)
+            assert np.array_equal(devices[0].net.layers[li].a, a)
+            assert np.array_equal(devices[0].net.layers[li].b, b)
 
-    def test_update_covers_exactly_the_broadcast_layers(self):
+    def test_sync_covers_exactly_the_broadcast_layers(self):
         cfg = small_cfg(mode="fedavg-lora")
         server, devices = init_phase(build_devices(cfg), cfg)
-        partial = {0: server.gal_params[0]}
-        update, _ = local_round(devices[1], partial, 0, cfg)
-        assert set(update) == {0}
+        dev = devices[1]
+        dev.adapters[...] = make_rng(4).normal(size=dev.adapters.shape)
+        before = lora_views(dev.net, dev.adapters.copy())
+        frozen_cfg = ExperimentConfig(**{**cfg.__dict__, "lr": 0.0})
+        local_round(dev, {0: server.gal_params[0]}, 0, frozen_cfg)
+        for li, layer in enumerate(dev.net.layers):
+            want = server.gal_params[0] if li == 0 else before[li]
+            assert np.array_equal(layer.a, want[0])
+            assert np.array_equal(layer.b, want[1])
 
     def test_device_mask_checked_against_the_layer_count(self):
         cfg = small_cfg(mode="fedavg-lora")
@@ -398,10 +448,21 @@ class TestLocalRound:
     def test_training_changes_the_synced_layers(self):
         cfg = small_cfg(mode="fedavg-lora")
         server, devices = init_phase(build_devices(cfg), cfg)
-        update, _ = local_round(devices[0], server.gal_params, 0, cfg)
-        moved = any(not np.array_equal(update[li][0], server.gal_params[li][0])
-                    for li in update)
+        local_round(devices[0], server.gal_params, 0, cfg)
+        moved = any(not np.array_equal(devices[0].net.layers[li].a, a)
+                    for li, (a, _) in server.gal_params.items())
         assert moved
+
+
+def assert_mean_equals_reference(server, devices, ref):
+    """`fedavg_gal` over `devices` gives the bits of the per-layer mean of
+    `ref`, their reference copies."""
+    want = layer_mean(ref, server.gal.gal_layers)
+    fedavg_gal(server, devices)
+    assert list(server.gal_params) == list(want)
+    for li, pair in want.items():
+        for got_m, want_m in zip(server.gal_params[li], pair, strict=True):
+            assert np.array_equal(got_m, want_m)
 
 
 class TestMaskedCurriculumRound:
@@ -414,6 +475,8 @@ class TestMaskedCurriculumRound:
         assert server.gal.gal_layers == {2}
         assert any(m is not None and not m.all()
                    for dev in devices for m in dev.mask.per_layer)
+        # the reference runs on deep copies, which own their layers' arrays;
+        # the engine runs on the built devices, whose layers view their rows
         ref = copy.deepcopy(devices)
         pacing = curriculum.PacingConfig(cfg.beta, cfg.alpha, cfg.pace,
                                          cfg.batch_size, cfg.rounds)
@@ -421,23 +484,18 @@ class TestMaskedCurriculumRound:
         for t in range(cfg.rounds):
             sampled = sample_devices(cfg.devices, cfg.sampled_per_round,
                                      make_rng(cfg.seed, 0x5E, t))
-            updates = []
             for k in sampled:
-                _, want_loss = reference_local_round(ref[k], server.gal_params,
-                                                     t, cfg)
-                update, loss = local_round(devices[k], server.gal_params, t,
-                                           cfg)
+                want_loss = reference_local_round(ref[k], server.gal_params,
+                                                  t, cfg)
+                loss = local_round(devices[k], server.gal_params, t, cfg)
                 subsets += curriculum.pace_count(
                     pacing, t, devices[k].n_k) < len(devices[k].batches)
                 assert loss == want_loss
                 for got, want in zip(devices[k].net.layers, ref[k].net.layers):
                     assert np.array_equal(got.a, want.a)
                     assert np.array_equal(got.b, want.b)
-                for li, (a, b) in update.items():
-                    assert np.array_equal(a, ref[k].net.layers[li].a)
-                    assert np.array_equal(b, ref[k].net.layers[li].b)
-                updates.append((devices[k].n_k, update))
-            fedavg_gal(server, updates)
+            assert_mean_equals_reference(
+                server, [devices[k] for k in sampled], [ref[k] for k in sampled])
         assert subsets > 0  # the curriculum left some batches out
 
 
@@ -480,23 +538,16 @@ class TestRoundShapes:
                        for dev in devices for m in dev.mask.per_layer)
         if name == "1-row-tail":
             assert 1 in {n % cfg.batch_size for n in sizes}
-        ref = copy.deepcopy(devices)
+        ref = copy.deepcopy(devices)  # for the reference only: no views
         for t in range(3):
-            updates = []
             for dev, ref_dev in zip(devices, ref):
-                want_update, want_loss = reference_local_round(
-                    ref_dev, server.gal_params, t, cfg)
-                update, loss = local_round(dev, server.gal_params, t, cfg)
-                assert loss == want_loss
-                assert update.keys() == want_update.keys()
-                for li, (a, b) in update.items():
-                    assert np.array_equal(a, want_update[li][0])
-                    assert np.array_equal(b, want_update[li][1])
+                want_loss = reference_local_round(ref_dev, server.gal_params,
+                                                  t, cfg)
+                assert local_round(dev, server.gal_params, t, cfg) == want_loss
                 for got, want in zip(dev.net.layers, ref_dev.net.layers):
                     assert np.array_equal(got.a, want.a)
                     assert np.array_equal(got.b, want.b)
-                updates.append((dev.n_k, update))
-            fedavg_gal(server, updates)
+            assert_mean_equals_reference(server, devices, ref)
 
 
 class TestNonFiniteGuard:
@@ -563,6 +614,27 @@ class TestNonFiniteGuard:
                                  "warmup epoch 0$"), np.errstate(all="ignore"):
             init_phase(devices, cfg)
 
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_init_phase_checks_the_layer_scores(self, monkeypatch, poison):
+        # every shard size is distinct, so each probe group is one device
+        cfg = small_cfg(mode="fibecfed", mu=0.5, lipschitz_points=8,
+                        hessian_samples=2)
+        devices = build_devices(cfg)
+        sizes = [dev.n_k for dev in devices]
+        assert len(set(sizes)) == len(sizes)
+        real = engine.gal_mod.device_layer_scores
+
+        def poisoned(net, xs, *args):
+            scores = real(net, xs, *args)
+            if xs.shape[-2] in (sizes[3], sizes[2]):
+                scores[..., -1] = poison
+            return scores
+
+        monkeypatch.setattr(engine.gal_mod, "device_layer_scores", poisoned)
+        with pytest.raises(ArithmeticError,
+                           match="non-finite layer score on device 2$"):
+            init_phase(devices, cfg)
 
     def test_init_phase_names_the_lowest_device_of_the_first_failing_epoch(
             self, monkeypatch):
@@ -665,48 +737,24 @@ def reference_fedavg(cfg):
     """Plain federated LoRA (full sync, no curriculum, no masks), written as
     an independent loop over the same primitives."""
     devices = build_devices(cfg)
-    num_layers = len(devices[0].net.layers)
-    total_n = sum(d.n_k for d in devices)
-    global_params = {}
-    for li in range(num_layers):
-        a = np.zeros_like(devices[0].net.layers[li].a)
-        b = np.zeros_like(devices[0].net.layers[li].b)
-        for dev in devices:
-            w = dev.n_k / total_n
-            a += w * dev.net.layers[li].a
-            b += w * dev.net.layers[li].b
-        global_params[li] = (a, b)
+    layers = range(len(devices[0].net.layers))
+    global_params = layer_mean(devices, layers)
 
     trajectory = []
     for t in range(cfg.rounds):
         sampled = sample_devices(cfg.devices, cfg.sampled_per_round,
                                  make_rng(cfg.seed, 0x5E, t))
-        updates = []
         for k in sampled:
             dev = devices[k]
             for li, (a, b) in global_params.items():
-                dev.net.layers[li].a = a.copy()
-                dev.net.layers[li].b = b.copy()
+                dev.net.layers[li].a[...] = a
+                dev.net.layers[li].b[...] = b
             for _ in range(cfg.local_iterations):
                 for idx in dev.batches:
                     apply_update(dev.net, backward(dev.net, dev.train.features[idx],
                                                    dev.train.labels[idx]), cfg.lr)
-            updates.append((dev.n_k, {li: (dev.net.layers[li].a.copy(),
-                                           dev.net.layers[li].b.copy())
-                                      for li in range(num_layers)}))
-        m = sum(n for n, _ in updates)
-        fresh = {}
-        for li, (a0, b0) in global_params.items():
-            a = np.zeros_like(a0)
-            b = np.zeros_like(b0)
-            for n_k, params in updates:
-                w = n_k / m
-                a += w * params[li][0]
-                b += w * params[li][1]
-            fresh[li] = (a, b)
-        global_params = fresh
-        trajectory.append({li: (a.copy(), b.copy())
-                           for li, (a, b) in global_params.items()})
+        global_params = layer_mean([devices[k] for k in sampled], layers)
+        trajectory.append(global_params)
     return trajectory
 
 
@@ -721,11 +769,9 @@ class TestBaselineEquivalence:
         for t in range(cfg.rounds):
             sampled = sample_devices(cfg.devices, cfg.sampled_per_round,
                                      make_rng(cfg.seed, 0x5E, t))
-            updates = []
             for k in sampled:
-                update, _ = local_round(devices[k], server.gal_params, t, cfg)
-                updates.append((devices[k].n_k, update))
-            fedavg_gal(server, updates)
+                local_round(devices[k], server.gal_params, t, cfg)
+            fedavg_gal(server, [devices[k] for k in sampled])
             for li in server.gal_params:
                 assert np.array_equal(server.gal_params[li][0], want[t][li][0])
                 assert np.array_equal(server.gal_params[li][1], want[t][li][1])
@@ -868,10 +914,10 @@ def randomize_adapters(server, devices, snapshot, rng):
         server.gal_params[li] = (rng.normal(size=a.shape),
                                  rng.normal(size=b.shape))
     for li, (a, b) in snapshot.items():
-        for dev in devices:
+        for dev in devices:  # in place: the layers view the adapter rows
             layer = dev.net.layers[li]
-            layer.a = rng.normal(size=layer.a.shape)
-            layer.b = rng.normal(size=layer.b.shape)
+            layer.a[...] = rng.normal(size=layer.a.shape)
+            layer.b[...] = rng.normal(size=layer.b.shape)
         snapshot[li] = (rng.normal(size=a.shape), rng.normal(size=b.shape))
 
 

@@ -262,6 +262,11 @@ class TestGalCount:
         assert gal_count([(10, 12, 24)], 24, 2.0) == 24
         assert gal_count([(10, 12, 24)], 24, 1.0) == 12
 
+    def test_huge_mu_clamps_before_rounding(self):
+        # mu * acc / total overflows to inf for this finite mu; the clamp to
+        # the layer count comes before int(round(...)) sees it
+        assert gal_count([(10, 1, 4)], 3, 1e308) == 3
+
     def test_weighted_across_devices(self):
         # (1 - r/R) * L of 8 and 0, weighted 3:1 -> 6
         assert gal_count([(3, 2, 10), (1, 10, 10)], 10, 1.0) == 6

@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import flat_loss_fn, random_small_net, single_identity_layer_net
+from conftest import (copy_network, flat_loss_fn, random_small_net,
+                      single_identity_layer_net)
 from fedlora.linalg import default_step, finite_diff_hessian, make_rng
 from fedlora.network import (LoraLayer, LoraNetwork, apply_update, backward,
                              build_network, clone_network,
@@ -183,7 +184,7 @@ class TestBatched:
             for m in (None, mask):
                 stacked = backward(net, xs, ys, mask=m, params=stack)
                 for i in range(k):
-                    single_net = clone_network(net)
+                    single_net = copy_network(net)
                     for li, (a, b) in stack.items():
                         single_net.layers[li].a = a[i].copy()
                         single_net.layers[li].b = b[i].copy()
@@ -350,7 +351,7 @@ class TestBatched:
             0.0, 0.3, size=(5, net.lora_param_count()))
         got = dataset_loss_grad_flat(net, xs, ys, vecs)
         assert got.shape == vecs.shape
-        probe = clone_network(net)
+        probe = copy_network(net)
         for row, vec in zip(got, vecs):
             set_lora_flat(probe, vec)
             g = backward(probe, xs, ys)
@@ -364,7 +365,7 @@ class TestBatched:
         got = finite_diff_hessian(
             lambda v: dataset_loss_grad_flat(net, xs, ys, v), x)
         # reference: one probe clone per stencil point, one component a row
-        probe = clone_network(net)
+        probe = copy_network(net)
 
         def grad_at(vec):
             set_lora_flat(probe, vec)
@@ -379,7 +380,7 @@ class TestBatched:
 
     def test_params_override_replaces_the_adapter(self, rng):
         net, x, _ = random_small_net(rng)
-        other = clone_network(net)
+        other = copy_network(net)
         other.layers[0].a = rng.normal(size=other.layers[0].a.shape)
         got = forward(net, x, params={0: (other.layers[0].a, other.layers[0].b)})
         assert np.array_equal(got.logits, forward(other, x).logits)
@@ -481,12 +482,32 @@ class TestFlatViews:
     def test_roundtrip(self, rng):
         net, _, _ = random_small_net(rng)
         vec = flatten_lora(net)
-        other = clone_network(net)
+        other = copy_network(net)
         for layer in other.layers:
             layer.a = np.zeros_like(layer.a)
             layer.b = np.zeros_like(layer.b)
         set_lora_flat(other, vec)
         assert np.array_equal(flatten_lora(other), vec)
+
+    def test_clones_view_the_rows_of_their_store(self, rng):
+        net, _, _ = random_small_net(rng)
+        store = flatten_lora(net) + rng.normal(
+            size=(3, net.lora_param_count()))
+        clones = clone_network(net, store)
+        assert len(clones) == len(store)
+        a0 = lora_slices(net)[0][0]
+        for clone, row in zip(clones, store):
+            for layer, ref in zip(clone.layers, net.layers, strict=True):
+                assert layer.w_base is ref.w_base and layer.bias is ref.bias
+                assert np.shares_memory(layer.a, row)
+                assert np.shares_memory(layer.b, row)
+            assert np.array_equal(flatten_lora(clone), row)
+            row += 1.0  # a write to the row is seen through the layers
+            assert np.array_equal(flatten_lora(clone), row)
+            clone.layers[0].a[...] = 0.0  # and a write to a layer in the row
+            assert not row[a0].any()
+        assert all(np.array_equal(l.a, r.a) and np.array_equal(l.b, r.b)
+                   for l, r in zip(net.layers, copy_network(net).layers))
 
     @pytest.mark.parametrize("size", [23, 25, 29])
     def test_vector_length_must_match_the_adapter_count(self, size):

@@ -9,8 +9,12 @@ import fedlora
 # tracer (benchmark/instrument.py) wraps them by module and name, and its
 # self-test expects every traced name but one probe to be present. They move
 # to tests/oracles.py once the tracer is pointed at functions the engine runs.
+# `network.set_lora_flat` is that probe: the self-test deletes it to check
+# that a missing traced name is reported, so it must exist and, since the
+# engine's devices view their adapter rows, nothing in `src` calls it.
 BENCHMARK_PINNED = ["fisher.average_fim", "fisher.sample_fim_diag",
-                    "linalg.eigh_symmetric", "network.apply_update"]
+                    "linalg.eigh_symmetric", "network.apply_update",
+                    "network.set_lora_flat"]
 
 
 def _names(node):
