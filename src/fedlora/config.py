@@ -6,6 +6,8 @@ from dataclasses import dataclass, field, fields
 
 import yaml
 
+from .curriculum import PACES
+
 MODES = ("fibecfed", "no-curriculum", "full-sync", "no-mask", "fedavg-lora")
 
 
@@ -56,6 +58,9 @@ class ExperimentConfig:
             if not cond:
                 raise ConfigError(f"{key}: {why}")
 
+        for key in _FLOAT_KEYS:  # first, so NaN is not called out of range
+            check(math.isfinite(getattr(self, key)), key,
+                  f"expected a finite number, got {getattr(self, key)!r}")
         check(self.devices >= 1, "devices", "must be >= 1")
         check(1 <= self.sampled_per_round <= self.devices,
               "sampled_per_round", "must lie in [1, devices]")
@@ -65,8 +70,7 @@ class ExperimentConfig:
         check(self.batch_size >= 1, "batch_size", "must be >= 1")
         check(0 < self.beta <= 1, "beta", "must lie in (0, 1]")
         check(0 < self.alpha <= 1, "alpha", "must lie in (0, 1]")
-        check(self.pace in ("linear", "sqrt", "exp"), "pace",
-              "must be linear, sqrt, or exp")
+        check(self.pace in PACES, "pace", f"must be one of {PACES}")
         check(self.noise_budget > 0, "noise_budget", "must be positive")
         check(self.p_norm > 1, "p_norm", "must be > 1")
         check(self.mu > 0, "mu", "must be positive")
@@ -78,8 +82,6 @@ class ExperimentConfig:
         check(len(self.hidden_dims) >= 1 and all(h >= 1 for h in self.hidden_dims),
               "hidden_dims", "must be a non-empty list of positive ints")
         check(self.lora_rank >= 1, "lora_rank", "must be >= 1")
-        check(self.lora_rank <= min([self.dim, self.num_classes] + list(self.hidden_dims)),
-              "lora_rank", "must not exceed any layer dimension")
         check(self.num_classes >= 2, "num_classes", "must be >= 2")
         check(self.per_class >= 1, "per_class", "must be >= 1")
         check(self.dim >= 1, "dim", "must be >= 1")
@@ -88,6 +90,8 @@ class ExperimentConfig:
         check(0 < self.train_fraction < 1, "train_fraction", "must lie in (0, 1)")
         check(self.mode in MODES, "mode", f"must be one of {MODES}")
         check(self.seed >= 0, "seed", "must be >= 0")
+        check(self.lora_rank <= min([self.dim, self.num_classes] + list(self.hidden_dims)),
+              "lora_rank", "must not exceed any layer dimension")
         total = self.num_classes * self.per_class
         check(self.devices * self.min_shard <= total, "devices",
               f"{self.devices} devices need {self.devices * self.min_shard} "
@@ -117,7 +121,7 @@ class ExperimentConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _INT_KEYS = {k for k, t in _FIELD_TYPES.items() if t in (int, "int")}
-_FLOAT_KEYS = {k for k, t in _FIELD_TYPES.items() if t in (float, "float")}
+_FLOAT_KEYS = [k for k, t in _FIELD_TYPES.items() if t in (float, "float")]
 
 
 class _Loader(yaml.SafeLoader):
@@ -165,8 +169,6 @@ def parse_config(source):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{key}: expected a number, got {value!r}")
             value = float(value)
-            if not math.isfinite(value):
-                raise ConfigError(f"{key}: expected a finite number, got {value!r}")
         elif key == "hidden_dims":
             if (not isinstance(value, list) or
                     not all(isinstance(v, int) and not isinstance(v, bool) for v in value)):

@@ -8,21 +8,12 @@ PACES = ("linear", "sqrt", "exp")
 
 @dataclass
 class PacingConfig:
+    """Curriculum settings, as `ExperimentConfig.validate()` checks them."""
     beta: float            # initial sample ratio
     alpha: float           # fraction of rounds until all data is used
     pace: str = "linear"
     batch_size: int = 8
     total_rounds: int = 100
-
-    def __post_init__(self):
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must lie in (0, 1]")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-        if self.pace not in PACES:
-            raise ValueError(f"pace must be one of {PACES}")
-        if self.batch_size < 1 or self.total_rounds < 1:
-            raise ValueError("batch_size and total_rounds must be >= 1")
 
 
 def pace_ratio(cfg, t):

@@ -21,10 +21,6 @@ class Dataset:
 def generate(num_classes, per_class, dim, class_sep, rng):
     """Gaussian blobs with unit covariance; class means are random directions
     scaled so every pair is at least `class_sep` apart."""
-    if num_classes < 1 or per_class < 1 or dim < 1:
-        raise ValueError("counts must be >= 1")
-    if class_sep <= 0:
-        raise ValueError("class separation must be positive")
     means = rng.normal(size=(num_classes, dim))
     # rescale until the closest pair respects the separation
     min_dist = np.inf
@@ -71,8 +67,8 @@ def dirichlet_partition(ds, num_devices, concentration, min_shard, seed):
     last row, which the receiver appends. Since min_shard * num_devices
     rows fit, a receiver never becomes the largest shard and a donor never
     falls below `min_shard`, so no row moves twice.
-    `ExperimentConfig.validate()` checks the settings; only the checks
-    that depend on the dataset are made here.
+    `ExperimentConfig.validate()` checks the settings here, in `generate`
+    and in `split`; only the checks that depend on the dataset are made.
     """
     n = len(ds)
     if num_devices > n:
@@ -129,8 +125,6 @@ def split(shard, train_fraction, rng):
     n = len(shard)
     if n < 2:
         raise ValueError("shard too small to split")
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train fraction must lie in (0, 1)")
     order, sizes = _class_order(shard.labels, shard.num_classes)
     in_train = np.zeros(n, dtype=bool)
     lo = 0

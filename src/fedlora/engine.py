@@ -309,8 +309,6 @@ def init_phase(devices, cfg):
 
 def sample_devices(num_devices, count, rng):
     """Uniform sample without replacement, returned in ascending id order."""
-    if not 1 <= count <= num_devices:
-        raise ValueError("sampled count out of range")
     return sorted(rng.choice(num_devices, size=count, replace=False).tolist())
 
 
@@ -440,11 +438,13 @@ def evaluate(server, devices, tests, snapshot):
 
 
 def run(cfg):
-    """Full experiment: init phase then `rounds` tuning rounds.
+    """Full experiment: `cfg.validate()`, which names the bad key before
+    anything is built, then the init phase and `rounds` tuning rounds.
 
-    Returns (reports, summary) where summary captures the layer selection,
-    mask ratios, and parameter accounting for the run-summary file.
+    Returns (reports, summary, server, devices); the summary captures the
+    layer selection, mask ratios, and parameter accounting.
     """
+    cfg.validate()
     devices = build_devices(cfg)
     server, devices = init_phase(devices, cfg)
     snapshot = stack_local_adapters(devices, server.gal.gal_layers)

@@ -43,8 +43,6 @@ def sample_fim_diag(net, s, label):
 def momentum_update(prev, fresh, gamma_m):
     """Exponential moving average of FIMs, layer by layer; the first epoch
     (`prev` None) passes a copy of `fresh` through."""
-    if not 0.0 <= gamma_m <= 1.0:
-        raise ValueError("momentum coefficient must lie in [0, 1]")
     if prev is None:
         return [v.copy() for v in fresh]
     if [p.shape for p in prev] != [f.shape for f in fresh]:

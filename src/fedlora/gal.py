@@ -21,8 +21,8 @@ def adversarial_noise(net, s, label, noise_budget, p_norm):
     """Worst-case input perturbation of p-norm size `noise_budget`, for each
     row of a sample matrix or of a (G, n, d) stack of them.
 
-    Closed form of the linearized dual problem, q = p/(p-1) its dual
-    exponent (`validate()` keeps the budget > 0 and p > 1):
+    Closed form of the linearized dual problem, q = p/(p-1) its dual exponent
+    (`validate()` keeps both finite, the budget > 0 and p > 1):
     eps = budget * sign(g)|g|^(q-1) / (||g||_q^q)^(1/p), which reduces to
     budget * g/||g||_2 at p = q = 2. Returns (eps, degenerate_flag); the flag
     marks a row with zero gradient, whose eps row is zero.
@@ -86,8 +86,6 @@ def lipschitz_estimate(g, center, radius, samples, rng):
     maps a stack of points, one per row, to their values, one per row, and
     is called once. Deterministic given the RNG state.
     """
-    if samples < 2:
-        raise ValueError("need at least two sample points")
     if radius <= 0:
         raise ValueError("radius must be positive")
     center = np.asarray(center, dtype=np.float64)
@@ -123,8 +121,6 @@ def gal_count(per_device, num_layers, mu):
     """Expected GAL size: weighted mean of per-device (1 - r/R)*L, scaled by
     mu, clamped to [1, L] (the upper bound before rounding, so a huge mu
     cannot overflow to an infinite count)."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
     total = sum(n_k for n_k, _, _ in per_device)
     if total <= 0:
         raise ValueError("total sample count must be positive")

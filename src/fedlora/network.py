@@ -375,14 +375,10 @@ def lora_views(net, vecs):
         raise ValueError(f"flat adapter vector of {size} entries for "
                          f"{net.lora_param_count()} adapter parameters")
     lead = vecs.shape[:-1]
-    views = {}
-    end = 0
-    for li, layer in enumerate(net.layers):
-        start, mid = end, end + layer.a.size
-        end = mid + layer.b.size
-        views[li] = (vecs[..., start:mid].reshape(lead + layer.a.shape),
-                     vecs[..., mid:end].reshape(lead + layer.b.shape))
-    return views
+    return {li: (vecs[..., sa].reshape(lead + layer.a.shape),
+                 vecs[..., sb].reshape(lead + layer.b.shape))
+            for li, (layer, (sa, sb))
+            in enumerate(zip(net.layers, lora_slices(net)))}
 
 
 def set_lora_flat(net, vec):

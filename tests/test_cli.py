@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import fedlora
+from fedlora import engine
 from fedlora.cli import (CSV_HEADER, compare_runs, main, read_metrics,
                          render_metrics_csv, run_experiment)
 from fedlora.config import (MODES, ConfigError, ExperimentConfig,
@@ -10,12 +12,13 @@ from fedlora.config import (MODES, ConfigError, ExperimentConfig,
 from fedlora.engine import RoundReport, build_devices
 
 
+SMALL = dict(devices=4, sampled_per_round=2, rounds=2, local_iterations=1,
+             lr=0.01, batch_size=4, hidden_dims=[5, 4], num_classes=4,
+             per_class=30, dim=6, class_sep=3.0, seed=1, mode="fedavg-lora")
+
+
 def small_yaml(**overrides):
-    base = dict(devices=4, sampled_per_round=2, rounds=2, local_iterations=1,
-                lr=0.01, batch_size=4, hidden_dims=[5, 4], num_classes=4,
-                per_class=30, dim=6, class_sep=3.0, seed=1,
-                mode="fedavg-lora")
-    base.update(overrides)
+    base = dict(SMALL, **overrides)
     lines = []
     for k, v in base.items():
         if isinstance(v, list):
@@ -71,22 +74,44 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key, text, value", [
         ("mu", ".inf", math.inf), ("lr", ".inf", math.inf),
-        ("lr", "-.inf", -math.inf), ("class_sep", ".nan", math.nan)])
+        ("lr", "-.inf", -math.inf), ("class_sep", ".nan", math.nan),
+        ("noise_budget", ".inf", math.inf), ("p_norm", ".inf", math.inf),
+        ("dirichlet_alpha", ".inf", math.inf)])
     def test_non_finite_floats_rejected_naming_the_key(self, key, text, value):
         with pytest.raises(ConfigError, match=f"^{key}: expected a finite"):
             parse_config(f"{key}: {text}\n")
         with pytest.raises(ConfigError, match=f"^{key}: expected a finite"):
             parse_config({key: value})
+        with pytest.raises(ConfigError, match=f"^{key}: expected a finite"):
+            ExperimentConfig(**{key: value}).validate()
+        with pytest.raises(ConfigError, match=f"^{key}: expected a finite"):
+            fedlora.run(ExperimentConfig(**dict(SMALL, **{key: value})))
 
     @pytest.mark.parametrize("key, value", [
         ("noise_budget", 0), ("noise_budget", -0.1), ("p_norm", 1),
         ("p_norm", 0.5), ("dirichlet_alpha", 0), ("dirichlet_alpha", -1.0),
-        ("devices", 0)])
+        ("devices", 0), ("alpha", 0), ("batch_size", 0), ("mu", 0),
+        ("gamma_m", 1.5), ("lipschitz_points", 1), ("num_classes", 1),
+        ("per_class", 0), ("dim", 0), ("class_sep", 0),
+        ("train_fraction", 1)])
     def test_init_phase_settings_rejected_naming_the_key(self, key, value):
-        # validate() is the only check of these: the noise and the partition
-        # take them as plain arguments
+        # validate() is the only check of these: the data, the curriculum,
+        # the noise, the Fisher momentum and the GAL sizing take them as
+        # plain arguments
         with pytest.raises(ConfigError, match=f"^{key}: "):
             parse_config(f"{key}: {value}\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("momentum_epochs", 0), ("local_iterations", 0), ("rounds", -1),
+        ("warmup_epochs", -1), ("mode", "bogus")])
+    def test_python_entry_rejects_before_building(self, monkeypatch, key,
+                                                  value):
+        def build_devices(cfg):
+            raise AssertionError("devices built from an invalid config")
+
+        monkeypatch.setattr(engine, "build_devices", build_devices)
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            fedlora.run(ExperimentConfig(**dict(SMALL, **{key: value})))
 
     def test_negative_seed_rejected_naming_the_key(self):
         with pytest.raises(ConfigError, match="^seed: "):

@@ -100,14 +100,6 @@ class TestPaceCount:
         with pytest.raises(ValueError):
             pace_count(table_cfg(), 0, 0)
 
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            PacingConfig(beta=0.0, alpha=0.5, pace="linear")
-        with pytest.raises(ValueError):
-            PacingConfig(beta=0.5, alpha=1.5, pace="linear")
-        with pytest.raises(ValueError):
-            PacingConfig(beta=0.5, alpha=0.5, pace="cubic")
-
 
 class TestSortBatches:
     def test_ascending_by_score(self):

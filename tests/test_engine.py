@@ -133,8 +133,6 @@ class TestSampleDevices:
     def test_out_of_range_count_rejected(self):
         with pytest.raises(ValueError):
             sample_devices(4, 5, make_rng(0))
-        with pytest.raises(ValueError):
-            sample_devices(4, 0, make_rng(0))
 
 
 def fake_server(gal_layers):

@@ -106,11 +106,6 @@ class TestMomentumUpdate:
         with pytest.raises(ValueError):
             momentum_update(prev, fresh, 0.5)
 
-    def test_coefficient_range_enforced(self):
-        fresh = make_fim([[1.0]])
-        with pytest.raises(ValueError):
-            momentum_update(None, fresh, 1.5)
-
 
 class TestAverageFim:
     def test_mean_of_two(self):

