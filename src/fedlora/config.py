@@ -58,7 +58,9 @@ class ExperimentConfig:
             if not cond:
                 raise ConfigError(f"{key}: {why}")
 
-        for key in _FLOAT_KEYS:  # first, so NaN is not called out of range
+        for f in fields(self):  # first, so no check meets a wrong type
+            _check_type(f.name, getattr(self, f.name))
+        for key in _FLOAT_KEYS:  # next, so NaN is not called out of range
             check(math.isfinite(getattr(self, key)), key,
                   f"expected a finite number, got {getattr(self, key)!r}")
         check(self.devices >= 1, "devices", "must be >= 1")
@@ -124,6 +126,27 @@ _INT_KEYS = {k for k, t in _FIELD_TYPES.items() if t in (int, "int")}
 _FLOAT_KEYS = [k for k, t in _FIELD_TYPES.items() if t in (float, "float")]
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_type(key, value):
+    """ConfigError naming `key` unless `value` has the key's type: an int
+    for an int key, an int or a float for a float key (a bool is neither),
+    a list of ints for `hidden_dims` and a string for the rest."""
+    if key in _INT_KEYS:
+        ok, want = _is_int(value), "an integer"
+    elif key in _FLOAT_KEYS:
+        ok, want = _is_int(value) or isinstance(value, float), "a number"
+    elif key == "hidden_dims":
+        ok = isinstance(value, list) and all(map(_is_int, value))
+        want = "a list of integers"
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if not ok:
+        raise ConfigError(f"{key}: expected {want}, got {value!r}")
+
+
 class _Loader(yaml.SafeLoader):
     """YAML 1.1 loading, except that a number with an exponent is a float
     even without a dot or an exponent sign (`1e-3`, `1.0e150`), as in YAML
@@ -160,23 +183,9 @@ def parse_config(source):
         if key not in known:
             raise ConfigError(f"{key}: unknown key")
 
-    coerced = {}
-    for key, value in raw.items():
-        if key in _INT_KEYS:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{key}: expected an integer, got {value!r}")
-        elif key in _FLOAT_KEYS:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{key}: expected a number, got {value!r}")
-            value = float(value)
-        elif key == "hidden_dims":
-            if (not isinstance(value, list) or
-                    not all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
-                raise ConfigError(f"{key}: expected a list of integers, got {value!r}")
-        else:
-            if not isinstance(value, str):
-                raise ConfigError(f"{key}: expected a string, got {value!r}")
-        coerced[key] = value
+    # ints for float keys become floats; `validate` checks every type
+    coerced = {key: float(value) if key in _FLOAT_KEYS and type(value) is int
+               else value for key, value in raw.items()}
     return ExperimentConfig(**coerced).validate()
 
 

@@ -12,7 +12,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate
 
 import numpy as np
 
@@ -34,7 +33,9 @@ _sum = np.add.reduce
 class DeviceState:
     """One device. The engine reads and writes only `adapters`: its float64
     row, in `flatten_lora` order, of the (D, P) store of `build_devices`.
-    `net` shares the frozen base; its layers' a, b are views of that row."""
+    `net` shares the frozen base; its layers' a, b are views of that row.
+    `training` is what `local_round` keeps across rounds, built the first
+    time the device trains (`_training_state`)."""
     k: int
     net: object
     adapters: np.ndarray
@@ -43,6 +44,7 @@ class DeviceState:
     batches: list = field(default_factory=list)      # index arrays into train
     batch_order: list = field(default_factory=list)  # ascending difficulty
     mask: NeuronMask = None
+    training: tuple = None  # (StepPlan, one (features, picks) per batch)
 
     @property
     def n_k(self):
@@ -312,43 +314,62 @@ def sample_devices(num_devices, count, rng):
     return sorted(rng.choice(num_devices, size=count, replace=False).tolist())
 
 
+def _rows(array, idx):
+    """`array[idx]`: a view when `idx` is a run of consecutive rows, as every
+    `make_batches` batch is, and a gathered copy otherwise."""
+    lo = idx[0]
+    if np.array_equal(idx, np.arange(lo, lo + idx.size)):
+        return array[lo:lo + idx.size]
+    return array[idx]
+
+
+def _training_state(dev):
+    """What every local round of `dev` reads, fixed at its first round: an
+    unstacked `StepPlan` over `dev.net`'s own adapter pairs, views of
+    `dev.adapters`, with the device's mask, and per batch, in index order,
+    its rows of features (`_rows`) and its label positions
+    (`label_positions`)."""
+    net = dev.net
+    plan = StepPlan(net, [(l.a, l.b) for l in net.layers],
+                    dev.mask.per_layer if dev.mask is not None else None)
+    features, labels = dev.train.features, dev.train.labels
+    batches = [(_rows(features, idx),
+                label_positions(labels[idx], idx.shape, net.num_classes))
+               for idx in dev.batches]
+    return plan, batches
+
+
 def local_round(dev, gal_params, t, cfg):
     """Sync the GAL layers from the server, train the device's adapter row in
     place on the curriculum-selected batches, and return the mean loss.
 
-    The round is set up once: the GAL layers are written into views of
-    `dev.adapters`, an unstacked `StepPlan` fixes those views, the validated
-    mask and the gradient buffer, and the selected batches' rows and label
-    positions are gathered. Each of the `local_iterations` epochs then runs
-    one `backprop` (the pass every `backward` ends in) per batch and one
-    `dev.adapters -= lr * grad`, elementwise the same as `apply_update`; a
+    The device's first round builds its `training` state: the step plan and
+    every batch's rows and label positions, reused by every later round, so
+    the mask and the training rows are read once. Each round writes the GAL
+    layers into `dev.net`'s views of `dev.adapters` and picks the selected
+    batches; each of the `local_iterations` epochs then runs one `backprop`
+    (the pass every `backward` ends in) per batch and one
+    `dev.adapters -= lr * grad`, elementwise the same as `apply_update`. A
     non-finite loss or gradient raises ArithmeticError naming the device
     and round. `dev.net` views the same row, so nothing is written back."""
-    views = lora_views(dev.net, dev.adapters)
     for li, (a, b) in gal_params.items():
-        views[li][0][...] = a
-        views[li][1][...] = b
+        layer = dev.net.layers[li]
+        layer.a[...] = a
+        layer.b[...] = b
 
+    if dev.training is None:
+        dev.training = _training_state(dev)
+    plan, state = dev.training
     if cfg.curriculum_on:
         pacing = curriculum.PacingConfig(cfg.beta, cfg.alpha, cfg.pace,
                                          cfg.batch_size, cfg.rounds)
         count = curriculum.pace_count(pacing, t, dev.n_k)
-        selected = curriculum.select_batches(dev.batch_order, count)
+        batches = [state[j]
+                   for j in curriculum.select_batches(dev.batch_order, count)]
     else:
-        selected = range(len(dev.batches))
+        batches = state
 
-    plan = StepPlan(dev.net, views.values(),
-                    dev.mask.per_layer if dev.mask is not None else None)
     p, grad, lr = dev.adapters, plan.grad, cfg.lr
-    # one gather of the selected rows; batch b is the slice [s, e) of it,
-    # and its label positions count from its own first row
-    rows = np.concatenate([dev.batches[j] for j in selected])
-    classes = dev.net.num_classes
-    xs = dev.train.features[rows]
-    picks = label_positions(dev.train.labels[rows], rows.shape, classes)
-    bounds = [0, *accumulate(len(dev.batches[j]) for j in selected)]
-    batches = [(xs[s:e], picks[s:e] - s * classes)
-               for s, e in zip(bounds, bounds[1:])]
     losses = []
     for _ in range(cfg.local_iterations):
         epoch = []

@@ -45,10 +45,12 @@ def finite_diff_hessian(grad, x):
     """Symmetrized central-difference Jacobian of a gradient function.
 
     `grad` maps a stack of points, one per row, to their gradients, one per
-    row. It is called once, on the (2P, P) stencil: the rows x + h*e_i and
-    then the rows x - h*e_i, h = `default_step(x)`; the result is the
-    symmetrized Jacobian, exact for linear maps.
-    A non-finite gradient row or result (finite sides can still overflow in
+    row. It is called once per side of the stencil, on the rows x + h*e_i
+    and then on the rows x - h*e_i, h = `default_step(x)`, each side a view
+    into one (2, P, P) buffer, so only one side's intermediates are alive at
+    a time; the result is the symmetrized Jacobian, exact for linear maps.
+    A non-finite gradient row on either side, named by its lowest component,
+    or a non-finite result (finite sides can still overflow in
     (gp - gm) / 2h) raises ArithmeticError.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -59,13 +61,13 @@ def finite_diff_hessian(grad, x):
     diag = np.arange(n)
     stencil[0, diag, diag] += h
     stencil[1, diag, diag] -= h
-    g = np.asarray(grad(stencil.reshape(2 * n, n)), dtype=np.float64)
-    g = g.reshape(2, n, n)  # gp, then gm
-    bad = ~np.isfinite(g).all(axis=(0, 2))
+    gp = np.asarray(grad(stencil[0]), dtype=np.float64)
+    gm = np.asarray(grad(stencil[1]), dtype=np.float64)
+    bad = ~(np.isfinite(gp).all(axis=1) & np.isfinite(gm).all(axis=1))
     if bad.any():
         raise ArithmeticError(
             f"non-finite gradient at component {int(np.argmax(bad))}")
-    jac = g[0] - g[1]
+    jac = gp - gm
     jac /= 2.0 * h
     jac += jac.T  # numpy buffers the overlapping transpose
     jac *= 0.5

@@ -15,9 +15,9 @@ input pairs the k-th matrix of samples with the k-th adapter.
 
 Every backward runs through one pass, `backprop`, over a `StepPlan` whose
 optional stack axis is the pass's: `backward` validates its inputs, builds
-the plan and calls it, while local training builds an unstacked plan once
-per round and calls `backprop` directly on each batch, so a step does no
-validation and no bookkeeping.
+the plan and calls it, while local training keeps one unstacked plan per
+device, built at the device's first round, and calls `backprop` directly on
+each batch, so a step does no validation and no bookkeeping.
 """
 
 import math

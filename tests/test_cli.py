@@ -103,7 +103,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("momentum_epochs", 0), ("local_iterations", 0), ("rounds", -1),
-        ("warmup_epochs", -1), ("mode", "bogus")])
+        ("warmup_epochs", -1), ("mode", "bogus"), ("rounds", 2.5),
+        ("lr", "0.1"), ("devices", 4.0), ("hidden_dims", [5.5, 4])])
     def test_python_entry_rejects_before_building(self, monkeypatch, key,
                                                   value):
         def build_devices(cfg):

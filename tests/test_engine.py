@@ -110,6 +110,14 @@ class TestAdapterOwnership:
         _, _, server, devices = run(cfg)
         assert seen == [server]
         assert_one_adapter_owner(devices)
+        # the step plans kept across rounds step on the rows themselves
+        trained = [dev for dev in devices if dev.training is not None]
+        assert trained
+        for dev in trained:
+            plan, _ = dev.training
+            for _, _, _, _, a, _, b, *_ in plan.layers:
+                assert np.shares_memory(a, dev.adapters)
+                assert np.shares_memory(b, dev.adapters)
 
     def test_a_deep_copy_has_no_views(self):
         dev = copy.deepcopy(build_devices(small_cfg())[0])
@@ -546,6 +554,83 @@ class TestRoundShapes:
                     assert np.array_equal(got.a, want.a)
                     assert np.array_equal(got.b, want.b)
             assert_mean_equals_reference(server, devices, ref)
+
+
+class TestKeptTrainingState:
+    """A device's step plan and batches are built at its first
+    `local_round` and reused by every later one."""
+
+    @pytest.mark.parametrize("cfg", [ROUND_SHAPES["scale-sparse"],
+                                     small_cfg()], ids=["scale-sparse", "small"])
+    def test_one_step_plan_per_trained_device(self, monkeypatch, cfg):
+        real = engine.StepPlan
+        built = collections.Counter()
+
+        def counting(net, *args, **kwargs):
+            built[id(net)] += 1
+            return real(net, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "StepPlan", counting)
+        reports, _, _, devices = run(cfg)
+        trained = {id(devices[k].net) for r in reports for k in r.sampled}
+        assert len(trained) < cfg.rounds * cfg.sampled_per_round
+        assert set(built) <= trained and set(built.values()) == {1}
+
+    def test_later_rounds_build_and_gather_nothing(self, monkeypatch):
+        cfg = small_cfg(mu=0.5, lipschitz_points=8, hessian_samples=2,
+                        beta=0.5, rounds=4)
+        runs = []
+        for patched in (False, True):
+            server, devices = init_phase(build_devices(cfg), cfg)
+            for dev in devices:
+                local_round(dev, server.gal_params, 0, cfg)
+            if patched:
+                def refuse(*args, **kwargs):
+                    raise AssertionError("set-up repeated after round 0")
+
+                for name in ("StepPlan", "lora_views", "label_positions"):
+                    monkeypatch.setattr(engine, name, refuse)
+                for dev in devices:  # no row of the training set is read
+                    dev.train = Unreadable(dev.n_k)
+            losses = [local_round(dev, server.gal_params, t, cfg)
+                      for t in range(1, cfg.rounds) for dev in devices]
+            runs.append((losses, np.array([d.adapters for d in devices])))
+        (want_losses, want), (losses, got) = runs
+        assert losses == want_losses and np.array_equal(got, want)
+
+    def test_batches_view_consecutive_rows_and_gather_scattered_ones(self):
+        cfg = small_cfg(mode="fedavg-lora", local_iterations=2)
+        server, devices = init_phase(build_devices(cfg), cfg)
+        plain, scattered = devices[0], devices[1]
+        perm = make_rng(7).permutation(scattered.n_k)
+        scattered.batches = [perm[idx] for idx in scattered.batches]
+        ref = copy.deepcopy(devices)  # for the reference only: no views
+        for t in range(2):
+            for dev, ref_dev in zip((plain, scattered), ref):
+                want = reference_local_round(ref_dev, server.gal_params, t, cfg)
+                assert local_round(dev, server.gal_params, t, cfg) == want
+                assert np.array_equal(dev.adapters, flatten_lora(ref_dev.net))
+        for dev, viewed in ((plain, True), (scattered, False)):
+            for (x, _), idx in zip(dev.training[1], dev.batches, strict=True):
+                assert np.array_equal(x, dev.train.features[idx])
+                assert np.shares_memory(x, dev.train.features) == viewed
+
+
+class Unreadable:
+    """A training set of `n` rows whose features and labels raise when
+    read."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    @property
+    def features(self):
+        raise AssertionError("training rows gathered again")
+
+    labels = features
 
 
 class TestNonFiniteGuard:
