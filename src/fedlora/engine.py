@@ -35,7 +35,9 @@ class DeviceState:
     row, in `flatten_lora` order, of the (D, P) store of `build_devices`.
     `net` shares the frozen base; its layers' a, b are views of that row.
     `training` is what `local_round` keeps across rounds, built the first
-    time the device trains (`_training_state`)."""
+    time the device trains (`_training_state`); its step plan writes into
+    `grad`, the one gradient buffer of every device of `build_devices`, as
+    rounds run one device at a time."""
     k: int
     net: object
     adapters: np.ndarray
@@ -45,6 +47,7 @@ class DeviceState:
     batch_order: list = field(default_factory=list)  # ascending difficulty
     mask: NeuronMask = None
     training: tuple = None  # (StepPlan, one (features, picks) per batch)
+    grad: np.ndarray = None  # flat gradient; None gives the plan its own
 
     @property
     def n_k(self):
@@ -87,10 +90,11 @@ def build_devices(cfg):
     base = build_network(cfg.dim, cfg.hidden_dims, cfg.num_classes,
                          rank=cfg.lora_rank, seed=cfg.seed)
     store = np.tile(flatten_lora(base), (len(shards), 1))
+    grad = np.empty(store.shape[1])
     devices = []
     for k, (shard, net) in enumerate(zip(shards, clone_network(base, store))):
         train, test = split(shard, cfg.train_fraction, make_rng(cfg.seed, 0x57, k))
-        dev = DeviceState(k, net, store[k], train, test)
+        dev = DeviceState(k, net, store[k], train, test, grad=grad)
         dev.batches = make_batches(len(train), cfg.batch_size)
         dev.batch_order = list(range(len(dev.batches)))
         devices.append(dev)
@@ -314,28 +318,23 @@ def sample_devices(num_devices, count, rng):
     return sorted(rng.choice(num_devices, size=count, replace=False).tolist())
 
 
-def _rows(array, idx):
-    """`array[idx]`: a view when `idx` is a run of consecutive rows, as every
-    `make_batches` batch is, and a gathered copy otherwise."""
-    lo = idx[0]
-    if np.array_equal(idx, np.arange(lo, lo + idx.size)):
-        return array[lo:lo + idx.size]
-    return array[idx]
-
-
 def _training_state(dev):
     """What every local round of `dev` reads, fixed at its first round: an
     unstacked `StepPlan` over `dev.net`'s own adapter pairs, views of
-    `dev.adapters`, with the device's mask, and per batch, in index order,
-    its rows of features (`_rows`) and its label positions
-    (`label_positions`)."""
+    `dev.adapters`, with the device's mask and `dev.grad`, and per batch,
+    in index order, its rows of features and its label positions
+    (`label_positions`). A `make_batches` batch is a run of consecutive
+    rows, so its features are a view of the training set's."""
     net = dev.net
     plan = StepPlan(net, [(l.a, l.b) for l in net.layers],
-                    dev.mask.per_layer if dev.mask is not None else None)
+                    dev.mask.per_layer if dev.mask is not None else None,
+                    grad=dev.grad)
     features, labels = dev.train.features, dev.train.labels
-    batches = [(_rows(features, idx),
-                label_positions(labels[idx], idx.shape, net.num_classes))
-               for idx in dev.batches]
+    batches = []
+    for idx in dev.batches:
+        rows = slice(idx[0], idx[-1] + 1)
+        batches.append((features[rows], label_positions(
+            labels[rows], idx.shape, net.num_classes)))
     return plan, batches
 
 

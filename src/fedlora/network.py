@@ -207,7 +207,8 @@ class StepPlan:
     transposes, the validated mask (`check_mask`), and views da, db into
     `grad`, the flat gradient in `flatten_lora` order that each pass
     overwrites. `params` is one (a, b) pair per layer; passes see any
-    in-place change to them.
+    in-place change to them. A given `grad` is used as that buffer, so
+    plans that never run at the same time can share one.
 
     `lead` is the stack shape of the pass, () for a sample matrix under 2-D
     adapters. `grad` carries it as leading axes, and `mm`, the product of
@@ -216,10 +217,11 @@ class StepPlan:
 
     __slots__ = ("layers", "grad", "mm")
 
-    def __init__(self, net, params, mask=None, lead=()):
+    def __init__(self, net, params, mask=None, lead=(), grad=None):
         masks = check_mask(net, mask)
         self.mm = _matmul if lead else np.ndarray.dot
-        self.grad = np.empty(lead + (net.lora_param_count(),))
+        self.grad = (np.empty(lead + (net.lora_param_count(),))
+                     if grad is None else grad)
         grads = lora_views(net, self.grad).values()
         self.layers = [
             (l.w_base, l.w_base.T, l.bias, l.activation == "relu",

@@ -110,14 +110,20 @@ class TestAdapterOwnership:
         _, _, server, devices = run(cfg)
         assert seen == [server]
         assert_one_adapter_owner(devices)
-        # the step plans kept across rounds step on the rows themselves
+        # the step plans kept across rounds step on the rows themselves,
+        # write into the one gradient buffer of the run, and read views of
+        # the training rows
         trained = [dev for dev in devices if dev.training is not None]
         assert trained
         for dev in trained:
-            plan, _ = dev.training
+            plan, batches = dev.training
+            assert plan.grad is devices[0].grad
             for _, _, _, _, a, _, b, *_ in plan.layers:
                 assert np.shares_memory(a, dev.adapters)
                 assert np.shares_memory(b, dev.adapters)
+            for (x, _), idx in zip(batches, dev.batches, strict=True):
+                assert np.shares_memory(x, dev.train.features)
+                assert np.array_equal(x, dev.train.features[idx])
 
     def test_a_deep_copy_has_no_views(self):
         dev = copy.deepcopy(build_devices(small_cfg())[0])
@@ -597,23 +603,6 @@ class TestKeptTrainingState:
             runs.append((losses, np.array([d.adapters for d in devices])))
         (want_losses, want), (losses, got) = runs
         assert losses == want_losses and np.array_equal(got, want)
-
-    def test_batches_view_consecutive_rows_and_gather_scattered_ones(self):
-        cfg = small_cfg(mode="fedavg-lora", local_iterations=2)
-        server, devices = init_phase(build_devices(cfg), cfg)
-        plain, scattered = devices[0], devices[1]
-        perm = make_rng(7).permutation(scattered.n_k)
-        scattered.batches = [perm[idx] for idx in scattered.batches]
-        ref = copy.deepcopy(devices)  # for the reference only: no views
-        for t in range(2):
-            for dev, ref_dev in zip((plain, scattered), ref):
-                want = reference_local_round(ref_dev, server.gal_params, t, cfg)
-                assert local_round(dev, server.gal_params, t, cfg) == want
-                assert np.array_equal(dev.adapters, flatten_lora(ref_dev.net))
-        for dev, viewed in ((plain, True), (scattered, False)):
-            for (x, _), idx in zip(dev.training[1], dev.batches, strict=True):
-                assert np.array_equal(x, dev.train.features[idx])
-                assert np.shares_memory(x, dev.train.features) == viewed
 
 
 class Unreadable:
