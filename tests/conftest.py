@@ -1,4 +1,5 @@
-"""Shared helpers: small random networks and flat-parameter loss probes."""
+"""Shared helpers: small random networks, flat-parameter loss probes, and
+the session's cache of full runs."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from fedlora.linalg import make_rng
 from fedlora.network import (LoraLayer, LoraNetwork, build_network,
                              clone_network, flatten_lora, forward,
                              set_lora_flat)
+from golden import run_text
 from oracles import cross_entropy
 
 
@@ -62,3 +64,17 @@ def single_identity_layer_net(d):
 @pytest.fixture
 def rng():
     return make_rng(0xBEEF)
+
+
+@pytest.fixture(scope="session")
+def run_config():
+    """`golden.run_text` with one run per config text for the session:
+    criterion 7 and the golden record share their desk runs."""
+    runs = {}
+
+    def run(text):
+        if text not in runs:
+            runs[text] = run_text(text)
+        return runs[text]
+
+    return run

@@ -186,13 +186,13 @@ def test_criterion_6_communication_ratio():
     report(6, "payload ratio at 18 of 24 uniform layers", ok)
 
 
-def test_criterion_7_directional_end_to_end():
+def test_criterion_7_directional_end_to_end(run_config):
     finals = {"fibecfed": [], "fedavg-lora": []}
     trajs = {"fibecfed": [], "fedavg-lora": []}
     for seed in range(5):
         for mode in finals:
-            cfg = ExperimentConfig(seed=seed, mode=mode).validate()
-            reports, *_ = run(cfg)
+            # the desk preset: ExperimentConfig(seed=seed, mode=mode)
+            reports, *_ = run_config(f"mode: {mode}\nseed: {seed}\n")
             accs = [r.weighted_test_acc for r in reports]
             finals[mode].append(accs[-1])
             trajs[mode].append(accs)
