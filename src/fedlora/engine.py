@@ -21,7 +21,8 @@ from .linalg import finite_diff_hessian, make_rng
 from .masking import NeuronMask, build_mask, layer_ratio, masked_param_count
 from .network import (StepPlan, backprop, backward, build_network,
                       clone_network, dataset_loss_grad_flat, flatten_lora,
-                      forward, label_positions, lora_slices, lora_views)
+                      forward_layers, label_positions, lora_slices,
+                      lora_views)
 
 RANK_EPS = 1e-8  # relative eigenvalue cutoff for the numerical Hessian rank
 
@@ -424,42 +425,107 @@ def pad_test_sets(devices):
     return xs, ys
 
 
+def adapter_store(devices):
+    """The (D, P) adapter store of `build_devices`, whose row i is
+    `devices[i].adapters`."""
+    store = devices[0].adapters.base
+    if store is None or len(store) != len(devices) or any(
+            dev.adapters.base is not store
+            or dev.adapters.ctypes.data != row.ctypes.data
+            for dev, row in zip(devices, store)):
+        raise ValueError("the devices' adapters are not the rows of one store")
+    return store
+
+
 def stack_local_adapters(devices, gal_layers):
     """Every device's non-GAL adapters stacked along a leading device axis:
     layer index -> (A (D, r, d_in), B (D, d_out, r)), views of one copy of
     the devices' adapter rows."""
-    views = lora_views(devices[0].net, np.array([d.adapters for d in devices]))
+    views = lora_views(devices[0].net, adapter_store(devices).copy())
     return {li: pair for li, pair in views.items() if li not in gal_layers}
 
 
-def evaluate(server, devices, tests, snapshot):
-    """(personalized weighted accuracy, server-view weighted accuracy) on
-    `tests`, the devices' `pad_test_sets`.
+@dataclass
+class EvalState:
+    """What `evaluate` reads, kept across rounds.
+
+    Every layer below `first`, the lowest GAL layer, is device-local, so
+    what enters layer `first` changes only with those layers' adapters. Per
+    view it is held as a (D, n_max, d) stack over the devices' padded test
+    sets (`pad_test_sets`, `tests`): `personal` under the live adapters,
+    `server` under the post-init `snapshot`. `live` holds the non-GAL
+    layers' (A (D, r, d_in), B (D, d_out, r)) stacks as views of the
+    adapter store (`adapter_store`), `snapshot` the same layers of the
+    post-init copy (`stack_local_adapters`)."""
+    net: object
+    tests: tuple
+    first: int
+    live: dict
+    snapshot: dict
+    personal: np.ndarray
+    server: np.ndarray
+
+
+def eval_state(devices, gal_layers, snapshot):
+    """The `EvalState` of `devices` under GAL `gal_layers` and the server
+    view's `snapshot`: each view's stack entering the lowest GAL layer, run
+    through the layers below it once, over every device's test set."""
+    net = devices[0].net
+    tests = pad_test_sets(devices)
+    first = min(gal_layers)
+    live = {li: pair
+            for li, pair in lora_views(net, adapter_store(devices)).items()
+            if li not in gal_layers}
+    return EvalState(net, tests, first, live, snapshot,
+                     forward_layers(net, tests[0], range(first), live),
+                     forward_layers(net, tests[0], range(first), snapshot))
+
+
+def refresh_rows(state, rows):
+    """Rerun the layers below `state.first` of the personalized view for
+    the devices at positions `rows`, whose adapters there changed."""
+    below = {li: (a[rows], b[rows])
+             for li, (a, b) in state.live.items() if li < state.first}
+    if below:
+        state.personal[rows] = forward_layers(
+            state.net, state.tests[0][rows], range(state.first), below)
+
+
+def evaluate(server, state):
+    """(personalized weighted accuracy, server-view weighted accuracy) of
+    the `EvalState` `state`.
 
     The personalized view runs each device's network with the server's GAL
     parameters; the server view also restores the non-GAL layers to the
-    post-init `snapshot` (`stack_local_adapters`). Each view is one forward
-    over every device at once, over the frozen base the devices share
-    (`build_devices`): the GAL adapters apply to all, the non-GAL ones are
-    stacked along the device axis. With every layer in the GAL the views
-    coincide and are computed once."""
-    xs, ys = tests
+    post-init snapshot. Each view runs only the layers from `state.first`
+    up, from its kept stack, as one pass over every device at once, over
+    the frozen base the devices share (`build_devices`): the GAL adapters
+    apply to all, the non-GAL ones are stacked along the device axis. With
+    every layer in the GAL the views coincide and are computed once."""
+    ys = state.tests[1]
     total = np.count_nonzero(ys >= 0)
+    layers = range(state.first, len(state.net.layers))
 
-    def accuracy(local):
-        params = server.gal_params | local
-        logits = forward(devices[0].net, xs, params=params).logits
+    def accuracy(h, local):
+        logits = forward_layers(state.net, h, layers,
+                                server.gal_params | local)
         return np.count_nonzero(np.argmax(logits, axis=-1) == ys) / total
 
-    acc = accuracy(stack_local_adapters(devices, server.gal_params))
-    if not snapshot:
+    acc = accuracy(state.personal, state.live)
+    if not state.snapshot:
         return acc, acc
-    return acc, accuracy(snapshot)
+    return acc, accuracy(state.server, state.snapshot)
 
 
 def run(cfg):
     """Full experiment: `cfg.validate()`, which names the bad key before
     anything is built, then the init phase and `rounds` tuning rounds.
+
+    Right after the init phase, `eval_state` runs both evaluation views
+    through the layers below the lowest GAL layer, once. Each round then
+    trains the sampled devices, aggregates, reruns those layers for the
+    sampled devices' rows alone (`refresh_rows`), as no other row changed,
+    and calls `evaluate` once, from the lowest GAL layer up.
 
     Returns (reports, summary, server, devices); the summary captures the
     layer selection, mask ratios, and parameter accounting.
@@ -467,9 +533,10 @@ def run(cfg):
     cfg.validate()
     devices = build_devices(cfg)
     server, devices = init_phase(devices, cfg)
-    snapshot = stack_local_adapters(devices, server.gal.gal_layers)
+    evaluation = eval_state(
+        devices, server.gal.gal_layers,
+        stack_local_adapters(devices, server.gal.gal_layers))
     payload = gal_payload_params(devices[0].net, server.gal.gal_layers)
-    tests = pad_test_sets(devices)
 
     reports = []
     for t in range(cfg.rounds):
@@ -480,7 +547,8 @@ def run(cfg):
                   for k in sampled]
         fedavg_gal(server, [devices[k] for k in sampled])
         down, up = comm_bytes(payload, len(sampled))
-        acc, view = evaluate(server, devices, tests, snapshot)
+        refresh_rows(evaluation, sampled)
+        acc, view = evaluate(server, evaluation)
         reports.append(RoundReport(
             round=t, sampled=sampled, train_loss=float(np.mean(losses)),
             weighted_test_acc=acc, server_view_acc=view,

@@ -169,14 +169,26 @@ def forward(net, x, params=None):
         raise ValueError(f"input shape {x.shape} is not (n, {net.input_dim}) "
                          f"or (K, n, {net.input_dim})")
     hidden = []
-    h = x
-    for li, layer in enumerate(net.layers):
+    logits = forward_layers(net, x, range(len(net.layers)), params, hidden)
+    return ForwardTrace(hidden=hidden, logits=logits)
+
+
+def forward_layers(net, h, layers, params=None, hidden=None):
+    """The pass of `forward` through `net.layers[li]` for each li of
+    `layers`, a range of consecutive layer indices, from `h`, the float64
+    input of the first of them (or its stack), which the caller has
+    validated. Returns the last layer's output, `h` itself for an empty
+    range, and appends each layer's output to the list `hidden` if given.
+    `params` substitutes adapters as in `forward`."""
+    for li in layers:
+        layer = net.layers[li]
         a, b = params.get(li, (layer.a, layer.b)) if params else (layer.a, layer.b)
         proj = _matmul(h, a.mT)
         z = _matmul(h, layer.w_base.mT) + _matmul(proj, b.mT) + layer.bias
         h = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        hidden.append(h)
-    return ForwardTrace(hidden=hidden, logits=h)
+        if hidden is not None:
+            hidden.append(h)
+    return h
 
 
 def check_mask(net, mask):

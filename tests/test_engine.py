@@ -8,14 +8,15 @@ import pytest
 from fedlora.config import MODES, ConfigError, ExperimentConfig
 from fedlora import curriculum, engine, fisher
 from fedlora.engine import (DeviceState, ServerState, build_devices,
-                            comm_bytes, evaluate, fedavg_gal,
+                            comm_bytes, eval_state, evaluate, fedavg_gal,
                             gal_payload_params, init_phase, local_round,
                             make_batches, pad_test_sets, run, sample_devices,
                             stack_local_adapters)
 from fedlora.gal import GalDecision, eigengap_rank
 from fedlora.linalg import eigh_symmetric, make_rng
 from fedlora.network import (apply_update, backward, build_network,
-                             clone_network, flatten_lora, forward, lora_views)
+                             clone_network, flatten_lora, forward,
+                             forward_layers, lora_views)
 from oracles import (fim_trace, layer_mean, per_device_init_phase,
                      reference_local_round)
 
@@ -945,9 +946,9 @@ def run_keeping_snapshot(cfg, monkeypatch):
                               dev.net.layers[li].b.copy()) for dev in devices]
         return server, devices
 
-    def evaluate_hook(server, devices, tests, snapshot):
-        snapshots.append(snapshot)
-        return evaluate(server, devices, tests, snapshot)
+    def evaluate_hook(server, state):
+        snapshots.append(state.snapshot)
+        return evaluate(server, state)
 
     monkeypatch.setattr(engine, "init_phase", init_hook)
     monkeypatch.setattr(engine, "evaluate", evaluate_hook)
@@ -999,8 +1000,8 @@ class TestEvaluate:
         _, _, server, devices = run(cfg)
         snapshot = stack_local_adapters(devices, server.gal.gal_layers)
         assert snapshot == {}
-        tests = pad_test_sets(devices)
-        acc, view = evaluate(server, devices, tests, snapshot)
+        acc, view = evaluate(
+            server, eval_state(devices, server.gal.gal_layers, snapshot))
         assert 0.0 <= acc <= 1.0
         # with every layer global and local snapshots absent, both views agree
         assert acc == view
@@ -1015,14 +1016,15 @@ class TestEvaluate:
         assert any(m is not None and not m.all()
                    for dev in devices for m in dev.mask.per_layer)
         assert len({len(dev.test) for dev in devices}) > 1
-        tests = pad_test_sets(devices)
+        state = eval_state(devices, server.gal.gal_layers, snapshot)
         want = per_device_accuracy(server, devices, snapshot)
         assert want[0] != want[1]
-        assert evaluate(server, devices, tests, snapshot) == want
+        assert evaluate(server, state) == want
         rng = make_rng(7)
         for _ in range(5):
             randomize_adapters(server, devices, snapshot, rng)
-            assert evaluate(server, devices, tests, snapshot) == \
+            state = eval_state(devices, server.gal.gal_layers, snapshot)
+            assert evaluate(server, state) == \
                 per_device_accuracy(server, devices, snapshot)
 
     def test_full_sync_computes_one_view(self, monkeypatch):
@@ -1035,11 +1037,12 @@ class TestEvaluate:
 
         def counted(*args, **kwargs):
             forwards.append(args[1].shape)
-            return forward(*args, **kwargs)
+            return forward_layers(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "forward", counted)
+        state = eval_state(devices, server.gal.gal_layers, snapshot)
+        monkeypatch.setattr(engine, "forward_layers", counted)
         tests = pad_test_sets(devices)
-        acc, view = evaluate(server, devices, tests, snapshot)
+        acc, view = evaluate(server, state)
         assert forwards == [tests[0].shape]
         assert acc == view
         assert acc == per_device_accuracy(server, devices, snapshot)[0]
@@ -1055,3 +1058,80 @@ class TestEvaluate:
             assert np.array_equal(xs[i, :n], dev.test.features)
             assert np.array_equal(ys[i, :n], dev.test.labels)
             assert not xs[i, n:].any() and (ys[i, n:] == -1).all()
+
+
+def smoke_cfg(seed):
+    """The CI smoke config with mu 0.5: GAL {0} at seed 0, {1} at seed 1."""
+    return ExperimentConfig(
+        devices=4, sampled_per_round=2, rounds=3, per_class=30,
+        num_classes=4, dim=6, hidden_dims=[5, 4], batch_size=4,
+        lipschitz_points=8, hessian_samples=2, mu=0.5, seed=seed).validate()
+
+
+EVAL_CASES = {  # name -> (config, its GAL)
+    "gal-2": (lambda: small_cfg(mu=0.5, lipschitz_points=8,
+                                hessian_samples=2, lr=0.03), {2}),
+    "gal-0": (lambda: smoke_cfg(0), {0}),
+    "gal-1": (lambda: smoke_cfg(1), {1}),
+    "full-gal": (lambda: small_cfg(mode="fedavg-lora"), {0, 1, 2}),
+}
+
+
+class TestEvalCache:
+    """`run` keeps each view's input to the lowest GAL layer across rounds
+    and reruns the layers below it only for the rows a round changed."""
+
+    @pytest.mark.parametrize("case", EVAL_CASES)
+    def test_every_round_equals_the_per_device_loop(self, case, monkeypatch):
+        make_cfg, gal = EVAL_CASES[case]
+        cfg = make_cfg()
+        built = []
+        seen = []
+
+        def init_hook(*args):
+            built.append(init_phase(*args))
+            return built[-1]
+
+        def evaluate_hook(server, state):
+            [(_, devices)] = built
+            got = evaluate(server, state)
+            seen.append(got)
+            assert got == per_device_accuracy(server, devices, state.snapshot)
+            # the kept stacks equal a fresh pass below the GAL, bitwise
+            xs, below = state.tests[0], range(state.first)
+            assert np.array_equal(
+                state.personal, forward_layers(state.net, xs, below,
+                                               state.live))
+            assert np.array_equal(
+                state.server, forward_layers(state.net, xs, below,
+                                             state.snapshot))
+            return got
+
+        monkeypatch.setattr(engine, "init_phase", init_hook)
+        monkeypatch.setattr(engine, "evaluate", evaluate_hook)
+        reports, _, server, _ = run(cfg)
+        assert server.gal.gal_layers == gal
+        assert seen == [(r.weighted_test_acc, r.server_view_acc)
+                        for r in reports]
+        assert len(seen) == cfg.rounds
+
+    def test_layers_below_the_gal_run_on_the_sampled_rows(self, monkeypatch):
+        cfg = small_cfg(mu=0.5, lipschitz_points=8, hessian_samples=2,
+                        lr=0.03, rounds=4)
+        passes = []
+
+        def counted(net, h, layers, *args, **kwargs):
+            passes.append((len(h), layers))
+            return forward_layers(net, h, layers, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "forward_layers", counted)
+        _, _, server, _ = run(cfg)
+        assert server.gal.gal_layers == {2}
+        # once per run, the two views' stacks over every device; then per
+        # round the sampled devices' rows, after their local rounds
+        assert [rows for rows, layers in passes if layers == range(2)] == \
+            [cfg.devices] * 2 + [cfg.sampled_per_round] * cfg.rounds
+        # evaluate runs only the GAL layer, once per view and round
+        assert [rows for rows, layers in passes if layers == range(2, 3)] == \
+            [cfg.devices] * 2 * cfg.rounds
+        assert len(passes) == 2 + 3 * cfg.rounds
