@@ -29,6 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
+from fedlora.cli import render_metrics_csv
+from fedlora.config import parse_config
+from fedlora.engine import run
+
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden.json")
 REL_TOL = 1e-6
@@ -65,14 +69,11 @@ def platform_fingerprint():
 
 def run_text(text):
     """`engine.run` of a config text: (reports, summary, devices)."""
-    from fedlora.config import parse_config
-    from fedlora.engine import run
     reports, summary, _, devices = run(parse_config(text))
     return reports, summary, devices
 
 
 def config_record(reports, summary, devices):
-    from fedlora.cli import render_metrics_csv
     return json.loads(json.dumps({
         "metrics_csv": render_metrics_csv(reports),
         "summary": summary,
@@ -84,10 +85,10 @@ def config_record(reports, summary, devices):
                     for dev in devices]}))
 
 
-def build_record(run=run_text):
-    """The record of every config, each run through `run(text)`."""
+def build_record(run_config=run_text):
+    """The record of every config, each run through `run_config(text)`."""
     return {"platform": platform_fingerprint(), "rel_tol": REL_TOL,
-            "configs": {key: config_record(*run(text))
+            "configs": {key: config_record(*run_config(text))
                         for key, text in CONFIGS.items()}}
 
 
