@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field, fields
 
 import yaml
@@ -89,6 +90,11 @@ class ExperimentConfig:
         check(self.dim >= 1, "dim", "must be >= 1")
         check(self.class_sep > 0, "class_sep", "must be positive")
         check(self.dirichlet_alpha > 0, "dirichlet_alpha", "must be positive")
+        # a Dirichlet draw sums `devices` Gamma(alpha) variates of about alpha
+        # each, which must stay finite (here with a factor 2 to spare)
+        cap = sys.float_info.max / (2 * self.devices)
+        check(self.dirichlet_alpha <= cap, "dirichlet_alpha",
+              f"must be at most {cap:.4g} for {self.devices} devices")
         check(0 < self.train_fraction < 1, "train_fraction", "must lie in (0, 1)")
         check(self.mode in MODES, "mode", f"must be one of {MODES}")
         check(self.seed >= 0, "seed", "must be >= 0")

@@ -31,15 +31,11 @@ def pace_ratio(cfg, t):
 
 
 def pace_count(cfg, t, n_k):
-    """Number of batches a device trains on in round t.
+    """Number of batches a device of n_k >= 1 rows trains on in round t >= 0.
 
     Ceil of `pace_ratio` times the total batch count, clamped to [1, total
     batch count], where a short tail batch counts as one.
     """
-    if t < 0:
-        raise ValueError("round index must be >= 0")
-    if n_k < 1:
-        raise ValueError("device has no samples")
     n_batches = math.ceil(n_k / cfg.batch_size)
     count = math.ceil(pace_ratio(cfg, t) * n_batches)
     return max(1, min(count, n_batches))
@@ -47,13 +43,9 @@ def pace_count(cfg, t, n_k):
 
 def sort_batches(scores):
     """Batch indices j by ascending difficulty scores[j]; ties by index."""
-    if len(scores) == 0:
-        raise ValueError("no batches to sort")
     return sorted(range(len(scores)), key=lambda j: (scores[j], j))
 
 
 def select_batches(order, count):
     """First `count` entries of the sorted order (the easiest batches)."""
-    if not 1 <= count <= len(order):
-        raise ValueError(f"count {count} out of range 1..{len(order)}")
     return list(order[:count])

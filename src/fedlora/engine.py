@@ -81,16 +81,17 @@ def make_batches(n, batch_size):
 
 def build_devices(cfg):
     """Dataset generation, Dirichlet sharding, and identically-initialized
-    devices: one (D, P) adapter store whose rows all start as the base
-    network's flat adapters, and per device a clone of the base network
-    that shares its frozen weights and views its row."""
+    devices: one (D, P) adapter store that owns its memory, whose rows all
+    start as the base network's flat adapters, and per device a clone of
+    the base network that shares its frozen weights and views its row."""
     ds = generate(cfg.num_classes, cfg.per_class, cfg.dim, cfg.class_sep,
                   make_rng(cfg.seed, 0xDA))
     shards = dirichlet_partition(ds, cfg.devices, cfg.dirichlet_alpha,
                                  cfg.min_shard, cfg.seed)
     base = build_network(cfg.dim, cfg.hidden_dims, cfg.num_classes,
                          rank=cfg.lora_rank, seed=cfg.seed)
-    store = np.tile(flatten_lora(base), (len(shards), 1))
+    store = np.empty((len(shards), base.lora_param_count()))
+    store[...] = flatten_lora(base)
     grad = np.empty(store.shape[1])
     devices = []
     for k, (shard, net) in enumerate(zip(shards, clone_network(base, store))):
@@ -162,8 +163,8 @@ def _lockstep_passes(devices, cfg):
     noise probes score the layers at the initial point (GAL on); the
     momentum-FIM and warmup SGD epochs follow, each SGD step j one pass over
     the devices grouped by the size of their batch j (a device leaves once
-    it has no batch j). The passes step on a gathered copy of the devices'
-    adapter rows, copied back in place at the end.
+    it has no batch j). The steps write the store's rows in place: a step's
+    groups hold distinct devices, and the noise probes run before any step.
     Returns the momentum FIM, one (D, d_out, 1) row-sum stack per layer, and
     the layer scores (D, L), None with the GAL off. `init_phase` runs these
     passes only with the GAL or the masks on: no mode has the curriculum on
@@ -175,7 +176,7 @@ def _lockstep_passes(devices, cfg):
     the lowest device id whose scores hold one.
     """
     net = devices[0].net
-    flat = np.array([dev.adapters for dev in devices])
+    flat = adapter_store(devices)
     whole = _groups(devices, [np.arange(dev.n_k) for dev in devices])
     fim = [np.empty((len(devices), l.d_out, 1)) for l in net.layers]
     scores = None
@@ -210,11 +211,10 @@ def _lockstep_passes(devices, cfg):
         if epoch < cfg.warmup_epochs:
             for group in _step_groups(devices):
                 pos = group[0]
-                p = flat[pos]
-                g, bad = _stacked_backward(net, group, p, adapters_only=True)
+                g, bad = _stacked_backward(net, group, flat[pos],
+                                           adapters_only=True)
                 failed.extend(bad)
-                p -= cfg.lr * g.grad
-                flat[pos] = p
+                flat[pos] -= cfg.lr * g.grad
         if failed:
             raise ArithmeticError(
                 "non-finite loss or gradient on device "
@@ -223,8 +223,6 @@ def _lockstep_passes(devices, cfg):
     for dev, row in zip(devices, () if scores is None else scores):
         if not _all(np.isfinite(row)):  # devices come in ascending id order
             raise ArithmeticError(f"non-finite layer score on device {dev.k}")
-    for dev, p in zip(devices, flat):
-        dev.adapters[...] = p
     return fim, scores
 
 
@@ -264,18 +262,11 @@ def init_phase(devices, cfg):
 
     The scoring, noise-probe, momentum and warmup passes run for every
     device at once (`_lockstep_passes`); only the Hessian analysis runs per
-    device. The analysis needs every device to start from the same
-    adapters, as `build_devices` makes them."""
-    for dev in devices:
-        if dev.n_k == 0:
-            raise ValueError(f"device {dev.k} has no local data")
-
+    device. Both take the devices as `build_devices` makes them: each with
+    at least one training row, all starting from the same adapters."""
     num_layers = len(devices[0].net.layers)
     need_analysis = cfg.gal_on or cfg.mask_on
     p0 = devices[0].adapters.copy()
-    if need_analysis and any(not np.array_equal(dev.adapters, p0)
-                             for dev in devices):
-        raise ValueError("devices do not start from the same adapters")
     if need_analysis:
         fim, scores = _lockstep_passes(devices, cfg)
     # device id -> ((r, R), per-block (r, R))
@@ -390,8 +381,6 @@ def fedavg_gal(server, devices):
     the sum of n_k / m * `dev.adapters` over `devices` in the given
     (ascending id) order, m their total sample count. `server.gal_params`
     becomes views of it for the GAL layers, in ascending order."""
-    if not devices:
-        raise ValueError("no devices to aggregate")
     m = sum(dev.n_k for dev in devices)
     mean = np.zeros_like(devices[0].adapters)
     for dev in devices:
@@ -427,14 +416,8 @@ def pad_test_sets(devices):
 
 def adapter_store(devices):
     """The (D, P) adapter store of `build_devices`, whose row i is
-    `devices[i].adapters`."""
-    store = devices[0].adapters.base
-    if store is None or len(store) != len(devices) or any(
-            dev.adapters.base is not store
-            or dev.adapters.ctypes.data != row.ctypes.data
-            for dev, row in zip(devices, store)):
-        raise ValueError("the devices' adapters are not the rows of one store")
-    return store
+    `devices[i].adapters`: the array every row views."""
+    return devices[0].adapters.base
 
 
 def stack_local_adapters(devices, gal_layers):

@@ -45,8 +45,6 @@ def momentum_update(prev, fresh, gamma_m):
     (`prev` None) passes a copy of `fresh` through."""
     if prev is None:
         return [v.copy() for v in fresh]
-    if [p.shape for p in prev] != [f.shape for f in fresh]:
-        raise ValueError("FIM shape mismatch in momentum update")
     return [gamma_m * p + (1.0 - gamma_m) * f for p, f in zip(prev, fresh)]
 
 
@@ -59,6 +57,4 @@ def average_fim(fims):
 
 def neuron_scores(fim, layer):
     """Importance of each output neuron: sum of its row's diagonal entries."""
-    if not 0 <= layer < len(fim):
-        raise IndexError(f"layer {layer} out of range")
     return fim[layer].sum(axis=-1)

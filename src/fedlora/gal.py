@@ -57,8 +57,6 @@ def device_layer_scores(net, samples, labels, noise_budget, p_norm):
     """Mean per-layer sensitivity over a device's local data, with the noise
     computed per sample; over each device of a (G, n, d) stack of samples,
     a (G, L) result."""
-    if len(samples) == 0:
-        raise ValueError("device has no local data to score")
     eps, _ = adversarial_noise(net, samples, labels, noise_budget, p_norm)
     diffs, _ = layer_relative_diff(net, samples, eps)
     return diffs.mean(axis=-2)
@@ -66,11 +64,7 @@ def device_layer_scores(net, samples, labels, noise_budget, p_norm):
 
 def aggregate_layer_scores(per_device):
     """Sample-count-weighted average of per-device layer scores."""
-    if len(per_device) == 0:
-        raise ValueError("no device scores to aggregate")
     total = sum(n_k for n_k, _ in per_device)
-    if total <= 0:
-        raise ValueError("total sample count must be positive")
     acc = None
     for n_k, scores in per_device:
         term = (n_k / total) * np.asarray(scores, dtype=np.float64)
@@ -86,8 +80,6 @@ def lipschitz_estimate(g, center, radius, samples, rng):
     maps a stack of points, one per row, to their values, one per row, and
     is called once. Deterministic given the RNG state.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     center = np.asarray(center, dtype=np.float64)
     dim = center.size
     pts = np.empty((samples, dim))
@@ -111,8 +103,6 @@ def eigengap_rank(eigenvalues, lipschitz):
     """Smallest 1-based r with lambda_{r+1} - lambda_r > 4*lipschitz; falls
     back to the full count when no gap is confident."""
     ev = np.asarray(eigenvalues, dtype=np.float64)
-    if ev.size == 0:
-        raise ValueError("empty spectrum")
     wide = np.flatnonzero(np.diff(ev) > 4.0 * lipschitz)
     return int(wide[0]) + 1 if wide.size else ev.size
 
@@ -122,12 +112,8 @@ def gal_count(per_device, num_layers, mu):
     mu, clamped to [1, L] (the upper bound before rounding, so a huge mu
     cannot overflow to an infinite count)."""
     total = sum(n_k for n_k, _, _ in per_device)
-    if total <= 0:
-        raise ValueError("total sample count must be positive")
     acc = 0.0
     for n_k, r_k, cap_r_k in per_device:
-        if cap_r_k < 1 or not 0 <= r_k <= cap_r_k:
-            raise ValueError(f"invalid ranks r={r_k}, R={cap_r_k}")
         acc += n_k * (1.0 - r_k / cap_r_k) * num_layers
     return max(1, int(round(min(mu * acc / total, num_layers))))
 
@@ -136,7 +122,5 @@ def select_gal(global_scores, n_star):
     """Indices of the n_star highest-scoring layers; ties prefer the lower
     layer index."""
     scores = np.asarray(global_scores, dtype=np.float64)
-    if n_star > scores.size:
-        raise ValueError("n_star exceeds layer count")
     order = sorted(range(scores.size), key=lambda l: (-scores[l], l))
     return set(order[:n_star])

@@ -18,14 +18,10 @@ class NeuronMask:
 
 
 def layer_ratio(r, cap_r):
-    """Local update ratio rho = 1 - r/R for one layer's Hessian block.
-
-    The gap rule never reports r = 0 (a gap "before the first eigenvalue"
-    does not exist), so r = 0 is read as the minimum rank 1. The degenerate
-    no-gap spectrum (r = R) yields 0 and is clamped later by mask
-    construction."""
-    if cap_r < 1 or not 0 <= r <= cap_r:
-        raise ValueError(f"invalid ranks r={r}, R={cap_r}")
+    """Local update ratio rho = 1 - r/R for one layer's Hessian block, in
+    [0, 1) for the 1 <= r <= R of `engine._spectrum_rank`; r = 0 reads as
+    the minimum rank 1. The degenerate no-gap spectrum (r = R) yields 0 and
+    is clamped later by mask construction."""
     return 1.0 - max(r, 1) / cap_r
 
 
@@ -33,10 +29,6 @@ def build_mask(scores, rho):
     """Keep the top round(rho * d_out) neurons by importance score, at least
     one; ties prefer the lower neuron index."""
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
-        raise ValueError("empty score vector")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
     keep = max(1, int(round(rho * scores.size)))
     order = sorted(range(scores.size), key=lambda i: (-scores[i], i))
     mask = np.zeros(scores.size, dtype=bool)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -296,6 +297,20 @@ class TestMainEntryPoint:
         cfg_path.write_text("devices: 200\n")
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         assert "devices" in capsys.readouterr().err
+
+    def test_dirichlet_concentration_past_the_float_range_exits_one(
+            self, tmp_path, capsys):
+        # each Dirichlet draw sums `devices` Gamma(alpha) variates, each
+        # alpha at this size: once the sum overflows every share is 0, the
+        # shards lose rows and the partition's rebalance loop never ends
+        cap = sys.float_info.max / (2 * SMALL["devices"])
+        cfg = ExperimentConfig(**dict(SMALL, dirichlet_alpha=cap)).validate()
+        assert sum(dev.n_k + len(dev.test) for dev in build_devices(cfg)) \
+            == cfg.num_classes * cfg.per_class
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(small_yaml(dirichlet_alpha=1.0e308))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert "config error: dirichlet_alpha: " in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("mode, where", [

@@ -86,19 +86,11 @@ class TestPaceCount:
                 for t in range(math.ceil(at)):
                     assert cfg.beta <= pace_ratio(cfg, t) <= 1.0
 
-    def test_negative_round_rejected(self):
-        with pytest.raises(ValueError):
-            pace_count(table_cfg(), -1, 80)
-
     def test_device_smaller_than_one_batch_has_one(self):
         # make_batches gives such a device one short batch
         for n_k in range(1, 8):
             for t in (0, 50, 500):
                 assert pace_count(table_cfg(), t, n_k) == 1
-
-    def test_empty_device_rejected(self):
-        with pytest.raises(ValueError):
-            pace_count(table_cfg(), 0, 0)
 
 
 class TestSortBatches:
@@ -112,10 +104,6 @@ class TestSortBatches:
         scores = [float(10 - i) for i in range(4)]
         assert sort_batches(scores) == [3, 2, 1, 0]
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sort_batches([])
-
 
 class TestSelectBatches:
     def test_full_count_selects_all(self):
@@ -126,12 +114,6 @@ class TestSelectBatches:
 
     def test_composition_with_sort(self):
         assert set(select_batches(sort_batches([3.0, 1.0, 2.0]), 2)) == {1, 2}
-
-    def test_out_of_range_count_rejected(self):
-        with pytest.raises(ValueError):
-            select_batches([0, 1], 3)
-        with pytest.raises(ValueError):
-            select_batches([0, 1], 0)
 
 
 def test_round_over_round_selection_is_nested():

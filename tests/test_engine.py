@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import fedlora
 from fedlora.config import MODES, ConfigError, ExperimentConfig
 from fedlora import curriculum, engine, fisher
 from fedlora.engine import (DeviceState, ServerState, build_devices,
@@ -210,10 +211,6 @@ class TestFedavgGal:
         assert np.allclose(server.gal_params[1][0], dev.net.layers[1].a)
         assert np.allclose(server.gal_params[1][1], dev.net.layers[1].b)
 
-    def test_empty_participant_list_rejected(self):
-        with pytest.raises(ValueError, match="no devices"):
-            fedavg_gal(fake_server({0}), [])
-
 
 class TestCommBytes:
     def test_empty_round(self):
@@ -416,13 +413,6 @@ class TestLockstepInit:
         for layer, rows in fims[0].items():
             assert len(rows) == len(fims[1][layer]) == cfg.devices
             assert all(map(np.array_equal, rows, fims[1][layer]))
-
-    def test_analysis_needs_one_starting_point(self):
-        cfg = small_cfg()
-        devices = build_devices(cfg)
-        devices[2].net.layers[1].a[0, 0] += 1e-3
-        with pytest.raises(ValueError, match="same adapters"):
-            init_phase(devices, cfg)
 
 
 class TestLocalRound:
@@ -856,6 +846,15 @@ class TestRun:
         reports, summary, server, devices = run(cfg)
         assert reports == []
         assert "gal_layers" in summary
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_device_runs_in_every_mode(self, mode):
+        # `np.tile` of a single row returns a view of a 1-D copy, so a
+        # one-device store built that way was not its row's `.base`
+        cfg = small_cfg(mode=mode, devices=1, sampled_per_round=1)
+        reports, _, _, devices = fedlora.run(cfg)
+        assert [r.sampled for r in reports] == [[0]] * cfg.rounds
+        assert_one_adapter_owner(devices)
 
     def test_round_reports_are_complete_and_bounded(self):
         cfg = small_cfg(mode="fedavg-lora")

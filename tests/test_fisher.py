@@ -100,12 +100,6 @@ class TestMomentumUpdate:
         out[0][0, 0] = -1.0  # must be an independent copy
         assert fresh[0][0, 0] == 4.0
 
-    def test_shape_mismatch_rejected(self):
-        prev = make_fim([[1.0, 2.0]])
-        fresh = make_fim([[1.0]])
-        with pytest.raises(ValueError):
-            momentum_update(prev, fresh, 0.5)
-
 
 class TestAverageFim:
     def test_mean_of_two(self):

@@ -158,10 +158,6 @@ class TestAggregateLayerScores:
         assert np.allclose(aggregate_layer_scores(whole),
                            aggregate_layer_scores(halves))
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_layer_scores([])
-
 
 class TestLipschitzEstimate:
     def test_linear_map_bounded_by_spectral_norm(self):
@@ -216,10 +212,6 @@ class TestLipschitzEstimate:
             lipschitz_estimate(lambda v: v, np.full(2, 1e20), 1.0, 8,
                                make_rng(0))
 
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            lipschitz_estimate(lambda v: v, np.zeros(2), 0.0, 8, make_rng(0))
-
 
 class TestEigengapRank:
     def test_hand_spectrum(self):
@@ -244,10 +236,6 @@ class TestEigengapRank:
                     break
             assert eigengap_rank(ev, lip) == expect
 
-    def test_empty_spectrum_rejected(self):
-        with pytest.raises(ValueError):
-            eigengap_rank(np.array([]), 1.0)
-
 
 class TestGalCount:
     def test_no_gap_clamps_to_one(self):
@@ -269,12 +257,6 @@ class TestGalCount:
         # (1 - r/R) * L of 8 and 0, weighted 3:1 -> 6
         assert gal_count([(3, 2, 10), (1, 10, 10)], 10, 1.0) == 6
 
-    def test_invalid_ranks_rejected(self):
-        with pytest.raises(ValueError):
-            gal_count([(10, 5, 0)], 8, 1.0)
-        with pytest.raises(ValueError):
-            gal_count([(10, 9, 5)], 8, 1.0)
-
 
 class TestSelectGal:
     def test_all_layers_when_n_star_equals_count(self):
@@ -291,7 +273,3 @@ class TestSelectGal:
         for c in (0.5, 2.0, 1e6):
             assert select_gal(list(c * np.array(scores)), 2) == \
                 select_gal(scores, 2)
-
-    def test_oversized_request_rejected(self):
-        with pytest.raises(ValueError):
-            select_gal([0.1, 0.2], 3)

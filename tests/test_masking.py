@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from conftest import random_small_net
 from fedlora.masking import (NeuronMask, build_mask, layer_ratio,
@@ -20,12 +19,6 @@ class TestLayerRatio:
         for cap in (1, 3, 17):
             for r in range(cap + 1):
                 assert 0.0 <= layer_ratio(r, cap) <= 1.0
-
-    def test_invalid_ranks_rejected(self):
-        with pytest.raises(ValueError):
-            layer_ratio(3, 0)
-        with pytest.raises(ValueError):
-            layer_ratio(9, 5)
 
 
 class TestBuildMask:
@@ -50,12 +43,6 @@ class TestBuildMask:
         a = build_mask(scores, 0.5)
         b = build_mask(scores.copy(), 0.5)
         assert np.array_equal(a, b)
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            build_mask(np.array([]), 0.5)
-        with pytest.raises(ValueError):
-            build_mask(np.array([1.0]), 1.5)
 
 
 class TestMaskedParamCount:
