@@ -14,10 +14,12 @@ over the shared frozen W, so K probe points cost one pass; a (K, n, d)
 input pairs the k-th matrix of samples with the k-th adapter.
 
 Every backward runs through one pass, `backprop`, over a `StepPlan` whose
-optional stack axis is the pass's: `backward` validates its inputs, builds
-the plan and calls it, while local training keeps one unstacked plan per
-device, built at the device's first round, and calls `backprop` directly on
-each batch, so a step does no validation and no bookkeeping.
+optional stack axis is the pass's: `backward` builds the plan and calls it,
+while local training keeps one unstacked plan per device, built at the
+device's first round, and calls `backprop` directly on each batch, so a
+step does no bookkeeping. Shapes are not re-checked here: the engine builds
+every network, mask, sample matrix and adapter vector from a config that
+`validate()` has checked.
 """
 
 import math
@@ -26,8 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import make_rng
-
-ACTIVATIONS = ("relu", "identity")
 
 A_INIT_STD = 0.02
 
@@ -38,16 +38,7 @@ class LoraLayer:
     a: np.ndarray       # (rank, d_in), trainable
     b: np.ndarray       # (d_out, rank), trainable
     bias: np.ndarray    # (d_out,), frozen
-    activation: str
-
-    def __post_init__(self):
-        d_out, d_in = self.w_base.shape
-        r = self.a.shape[0]
-        assert self.a.shape == (r, d_in)
-        assert self.b.shape == (d_out, r)
-        assert self.bias.shape == (d_out,)
-        assert r <= min(d_in, d_out), "adapter rank exceeds layer dimensions"
-        assert self.activation in ACTIVATIONS
+    activation: str     # "relu" or "identity"
 
     @property
     def d_in(self):
@@ -66,12 +57,6 @@ class LoraLayer:
 class LoraNetwork:
     layers: list
     num_classes: int
-
-    def __post_init__(self):
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            assert prev.d_out == nxt.d_in, "incompatible consecutive layer dims"
-        assert self.layers[-1].d_out == self.num_classes
-        assert self.layers[-1].activation == "identity"
 
     @property
     def input_dim(self):
@@ -157,29 +142,26 @@ def label_positions(labels, shape, num_classes):
                                 (size, num_classes))
 
 
-def forward(net, x, params=None):
+def forward(net, x):
     """Hidden states and logits of a matrix with one sample per row, or of
-    a (K, n, d) stack of such matrices. `params` optionally maps a layer
-    index to an (a, b) pair used in place of that layer's own adapter: a
-    2-D pair applies to every sample, a (K, r, d_in) / (K, d_out, r) stack
-    gives the outputs a leading K axis, its k-th adapter meeting the k-th
-    matrix of a stacked input."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[-1] != net.input_dim:
-        raise ValueError(f"input shape {x.shape} is not (n, {net.input_dim}) "
-                         f"or (K, n, {net.input_dim})")
+    a (K, n, d) stack of such matrices."""
     hidden = []
-    logits = forward_layers(net, x, range(len(net.layers)), params, hidden)
+    logits = forward_layers(net, np.asarray(x, dtype=np.float64),
+                            range(len(net.layers)), hidden=hidden)
     return ForwardTrace(hidden=hidden, logits=logits)
 
 
 def forward_layers(net, h, layers, params=None, hidden=None):
     """The pass of `forward` through `net.layers[li]` for each li of
     `layers`, a range of consecutive layer indices, from `h`, the float64
-    input of the first of them (or its stack), which the caller has
-    validated. Returns the last layer's output, `h` itself for an empty
-    range, and appends each layer's output to the list `hidden` if given.
-    `params` substitutes adapters as in `forward`."""
+    input of the first of them (or its stack). Returns the last layer's
+    output, `h` itself for an empty range, and appends each layer's output
+    to the list `hidden` if given.
+
+    `params` optionally maps a layer index to an (a, b) pair used in place
+    of that layer's own adapter: a 2-D pair applies to every sample, a
+    (K, r, d_in) / (K, d_out, r) stack gives the outputs a leading K axis,
+    its k-th adapter meeting the k-th matrix of a stacked input."""
     for li in layers:
         layer = net.layers[li]
         a, b = params.get(li, (layer.a, layer.b)) if params else (layer.a, layer.b)
@@ -191,34 +173,14 @@ def forward_layers(net, h, layers, params=None, hidden=None):
     return h
 
 
-def check_mask(net, mask):
-    """`mask` as a list with one boolean vector over output neurons, or
-    None, per layer of `net`; None stands for a fully trainable network.
-    Raises ValueError on a list whose length is not the layer count or on a
-    vector whose length is not its layer's width."""
-    if mask is None:
-        return [None] * len(net.layers)
-    mask = list(mask)
-    if len(mask) != len(net.layers):
-        raise ValueError(f"mask has {len(mask)} entries for "
-                         f"{len(net.layers)} layers")
-    masks = []
-    for layer, m in zip(net.layers, mask):
-        if m is not None:
-            m = np.asarray(m, dtype=bool)
-            if m.shape != (layer.d_out,):
-                raise ValueError(f"mask shape {m.shape} != ({layer.d_out},)")
-        masks.append(m)
-    return masks
-
-
 class StepPlan:
     """What every pass of `backprop` over one set of adapters reads, fixed
     once for as long as those adapters live: per layer the frozen W, W^T
     and bias, whether it is a ReLU layer, the adapter pair a, b and their
-    transposes, the validated mask (`check_mask`), and views da, db into
-    `grad`, the flat gradient in `flatten_lora` order that each pass
-    overwrites. `params` is one (a, b) pair per layer; passes see any
+    transposes, its mask entry (a boolean vector over output neurons, or
+    None for an unmasked layer; a None `mask` masks no layer), and views
+    da, db into `grad`, the flat gradient in `flatten_lora` order that each
+    pass overwrites. `params` is one (a, b) pair per layer; passes see any
     in-place change to them. A given `grad` is used as that buffer, so
     plans that never run at the same time can share one.
 
@@ -230,7 +192,7 @@ class StepPlan:
     __slots__ = ("layers", "grad", "mm")
 
     def __init__(self, net, params, mask=None, lead=(), grad=None):
-        masks = check_mask(net, mask)
+        masks = [None] * len(net.layers) if mask is None else mask
         self.mm = _matmul if lead else np.ndarray.dot
         self.grad = (np.empty(lead + (net.lora_param_count(),))
                      if grad is None else grad)
@@ -247,12 +209,12 @@ _sum = np.add.reduce
 
 
 def backprop(plan, x, picks, fim_rows=None):
-    """`backward` of a float64 sample matrix or stack of them, for operands
-    the caller has validated: `picks` holds each sample's flat index of its
-    label's logit (`label_positions`). Writes the summed dA/dB into
-    `plan.grad` and returns (per-sample loss, None). With a list
-    `fim_rows`, also appends each layer's Fisher row sums, from the last
-    layer down, and returns the input gradient in place of None.
+    """`backward` of a float64 sample matrix or stack of them: `picks` holds
+    each sample's flat index of its label's logit (`label_positions`).
+    Writes the summed dA/dB into `plan.grad` and returns (per-sample loss,
+    None). With a list `fim_rows`, also appends each layer's Fisher row
+    sums, from the last layer down, and returns the input gradient in place
+    of None.
 
     Every product is one `plan.mm`, and the pass builds nothing that `plan`
     fixes, so a training step pays only for its arithmetic. A layer's
@@ -316,8 +278,8 @@ def backward(net, x, labels, mask=None, params=None, adapters_only=False):
     and it has no path into dA. Earlier layers and the input see the
     unmasked delta.
 
-    `params` substitutes adapters as in `forward`; delta propagates as
-    delta.W + (delta.B).A, which never forms a (K, d_out, d_in) weight.
+    `params` substitutes adapters as in `forward_layers`; delta propagates
+    as delta.W + (delta.B).A, which never forms a (K, d_out, d_in) weight.
 
     `adapters_only` leaves `fim_rows` and `d_input` None: only the Fisher
     scoring and the input-noise generation read them, so the warmup steps
@@ -329,12 +291,6 @@ def backward(net, x, labels, mask=None, params=None, adapters_only=False):
     `backprop`.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[-1] != net.input_dim:
-        raise ValueError(f"input shape {x.shape} is not (n, {net.input_dim}) "
-                         f"or (K, n, {net.input_dim})")
-    labels = np.asarray(labels)
-    if labels.shape != x.shape[:-1]:
-        raise ValueError(f"label shape {labels.shape} != {x.shape[:-1]}")
     pairs = [params.get(li, (l.a, l.b)) if params else (l.a, l.b)
              for li, l in enumerate(net.layers)]
     lead = np.broadcast_shapes(x.shape[:-2], *{m.shape[:-2] for pair in pairs
@@ -354,8 +310,6 @@ def apply_update(net, g, lr):
     """SGD step on the adapter pairs: A -= lr * dA, B -= lr * dB, layer by
     layer. The engine takes the same step on one flat adapter vector; this
     is the per-layer reference it is tested against."""
-    if lr < 0:
-        raise ValueError("learning rate must be non-negative")
     for layer, da, db in zip(net.layers, g.da, g.db):
         layer.a -= lr * da
         layer.b -= lr * db
@@ -382,12 +336,8 @@ def flatten_lora(net):
 
 def lora_views(net, vecs):
     """Per-layer (a, b) views into flat adapter vectors, keyed by layer index
-    like the `params` of `forward`/`backward`; a leading stack axis of
-    `vecs` is kept."""
-    size = vecs.shape[-1] if vecs.ndim else 1
-    if size != net.lora_param_count():
-        raise ValueError(f"flat adapter vector of {size} entries for "
-                         f"{net.lora_param_count()} adapter parameters")
+    like the `params` of `forward_layers`/`backward`; a leading stack axis
+    of `vecs` is kept."""
     lead = vecs.shape[:-1]
     return {li: (vecs[..., sa].reshape(lead + layer.a.shape),
                  vecs[..., sb].reshape(lead + layer.b.shape))

@@ -16,8 +16,8 @@ from fedlora.engine import (DeviceState, ServerState, build_devices,
 from fedlora.gal import GalDecision, eigengap_rank
 from fedlora.linalg import eigh_symmetric, make_rng
 from fedlora.network import (apply_update, backward, build_network,
-                             clone_network, flatten_lora, forward,
-                             forward_layers, lora_views)
+                             clone_network, flatten_lora, forward_layers,
+                             lora_views)
 from oracles import (fim_trace, layer_mean, per_device_init_phase,
                      reference_local_round)
 
@@ -438,15 +438,6 @@ class TestLocalRound:
             want = server.gal_params[0] if li == 0 else before[li]
             assert np.array_equal(layer.a, want[0])
             assert np.array_equal(layer.b, want[1])
-
-    def test_device_mask_checked_against_the_layer_count(self):
-        cfg = small_cfg(mode="fedavg-lora")
-        server, devices = init_phase(build_devices(cfg), cfg)
-        dev = devices[1]
-        dev.mask.per_layer.append(None)
-        with pytest.raises(ValueError, match="mask has 4 entries for 3 "
-                                             "layers"):
-            local_round(dev, server.gal_params, 0, cfg)
 
     def test_training_changes_the_synced_layers(self):
         cfg = small_cfg(mode="fedavg-lora")
@@ -971,7 +962,8 @@ def per_device_accuracy(server, devices, snapshot):
         own = {li: (a[i], b[i]) for li, (a, b) in snapshot.items()}
         for v, params in enumerate((server.gal_params,
                                     server.gal_params | own)):
-            logits = forward(dev.net, dev.test.features, params=params).logits
+            logits = forward_layers(dev.net, dev.test.features,
+                                    range(len(dev.net.layers)), params)
             hits[v] += int(np.count_nonzero(
                 np.argmax(logits, axis=1) == dev.test.labels))
     total = sum(len(dev.test) for dev in devices)

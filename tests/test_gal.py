@@ -125,11 +125,6 @@ class TestDeviceLayerScores:
                                     np.tile(label, 4), 0.1, 2.0)
         assert np.allclose(once, twice)
 
-    def test_empty_device_rejected(self, rng):
-        net, _, _ = random_small_net(rng)
-        with pytest.raises(ValueError):
-            device_layer_scores(net, [], [], 0.1, 2.0)
-
 
 class TestAggregateLayerScores:
     def test_single_device_passthrough(self):

@@ -5,7 +5,10 @@ one of three ways: `validate()` rejects it with a `ConfigError` whose
 message starts with the key; the run completes; or the run raises
 `ArithmeticError`, the documented runtime failure (exit 2 on the command
 line) of a non-finite loss, gradient, layer score or Lipschitz estimate.
-Nothing else may escape.
+Nothing else may escape. A completed run must also have built what
+`network` takes unchecked: layers whose shapes chain from the config's
+dims, adapter rows of the adapter count, one mask entry per layer of its
+layer's width, and server GAL parameters of their layers' shapes.
 
 Only the sizes are capped, so that a run takes milliseconds: devices,
 rounds, widths, samples per class, epochs, Hessian samples and Lipschitz
@@ -83,16 +86,40 @@ def tiny_configs(draw):
 
 
 def outcome(values):
-    """How `fedlora.run` ends on `values`: "rejected", "ran" or "raised"."""
+    """How `fedlora.run` ends on `values`: ("rejected", None),
+    ("ran", its return value) or ("raised", None)."""
     try:
         with np.errstate(all="ignore"):  # overflow is what the guards report
-            fedlora.run(ExperimentConfig(**values))
+            result = fedlora.run(ExperimentConfig(**values))
     except ConfigError as exc:
         assert str(exc).split(":")[0] in KEYS, exc
-        return "rejected"
+        return "rejected", None
     except ArithmeticError:
-        return "raised"
-    return "ran"
+        return "raised", None
+    return "ran", result
+
+
+def assert_built_shapes(values, server, devices):
+    """The shapes `network` relies on without checking them."""
+    dims = [values["dim"]] + values["hidden_dims"] + [values["num_classes"]]
+    rank = values["lora_rank"]
+    for dev in devices:
+        layers = dev.net.layers
+        assert [(l.d_in, l.d_out) for l in layers] == list(zip(dims, dims[1:]))
+        assert [l.activation for l in layers] == \
+            ["relu"] * (len(layers) - 1) + ["identity"]
+        for l in layers:
+            assert l.a.shape == (rank, l.d_in)
+            assert l.b.shape == (l.d_out, rank)
+            assert l.bias.shape == (l.d_out,)
+        assert dev.adapters.shape == (dev.net.lora_param_count(),)
+        assert len(dev.mask.per_layer) == len(layers)
+        for l, m in zip(layers, dev.mask.per_layer):
+            assert m is None or (m.dtype == bool and m.shape == (l.d_out,))
+    assert set(server.gal_params) == server.gal.gal_layers
+    for li, (a, b) in server.gal_params.items():
+        layer = devices[0].net.layers[li]
+        assert (a.shape, b.shape) == (layer.a.shape, layer.b.shape)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -107,4 +134,7 @@ def outcome(values):
               dirichlet_alpha=1.0, train_fraction=0.8, seed=0,
               mode="fibecfed"))
 def test_validated_configs_run_or_fail_on_a_non_finite_value(values):
-    outcome(values)  # any other exception escapes and fails the test
+    ended, result = outcome(values)  # any other exception escapes and fails
+    if ended == "ran":
+        _, _, server, devices = result
+        assert_built_shapes(values, server, devices)
