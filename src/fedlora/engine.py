@@ -32,9 +32,10 @@ _sum = np.add.reduce
 
 @dataclass
 class DeviceState:
-    """One device. The engine reads and writes only `adapters`: its float64
-    row, in `flatten_lora` order, of the (D, P) store of `build_devices`.
-    `net` shares the frozen base; its layers' a, b are views of that row.
+    """One device. `adapters` is its float64 row, in `flatten_lora` order,
+    of the (D, P) store of `build_devices`. `net` shares the frozen base;
+    its layers' a, b are views of that row, through which `local_round`
+    writes the GAL layers and the step plan trains.
     `training` is what `local_round` keeps across rounds, built the first
     time the device trains (`_training_state`); its step plan writes into
     `grad`, the one gradient buffer of every device of `build_devices`, as
@@ -165,10 +166,11 @@ def _lockstep_passes(devices, cfg):
     the devices grouped by the size of their batch j (a device leaves once
     it has no batch j). The steps write the store's rows in place: a step's
     groups hold distinct devices, and the noise probes run before any step.
-    Returns the momentum FIM, one (D, d_out, 1) row-sum stack per layer, and
-    the layer scores (D, L), None with the GAL off. `init_phase` runs these
-    passes only with the GAL or the masks on: no mode has the curriculum on
-    with both off.
+    Each momentum epoch refills one (D, d_out, 1) row-sum stack per layer
+    and mixes it in by one `fisher.momentum_update`. Returns the momentum
+    FIM, stacks of that shape, and the layer scores (D, L), None with the
+    GAL off. `init_phase` runs these passes only with the GAL or the masks
+    on: no mode has the curriculum on with both off.
 
     Each epoch runs every group of its passes before it raises: the error
     names the first epoch in which a device failed and the lowest failing
@@ -178,8 +180,9 @@ def _lockstep_passes(devices, cfg):
     net = devices[0].net
     flat = adapter_store(devices)
     whole = _groups(devices, [np.arange(dev.n_k) for dev in devices])
-    fim = [np.empty((len(devices), l.d_out, 1)) for l in net.layers]
-    scores = None
+    fim = scores = None
+    # each momentum epoch's device FIM: mean per-sample rows
+    fresh = [np.empty((len(devices), l.d_out, 1)) for l in net.layers]
     if cfg.gal_on:
         # every device starts from the adapters of devices[0].net (init_phase)
         scores = np.empty((len(devices), len(net.layers)))
@@ -201,13 +204,9 @@ def _lockstep_passes(devices, cfg):
                     for i, d in zip(pos, difficulty):
                         devices[i].batch_order = curriculum.sort_batches(
                             [sum(d[idx]) for idx in devices[i].batches])
-                # the epoch's device FIM: mean per-sample rows
-                mixed = fisher.momentum_update(
-                    [f[pos] for f in fim] if epoch else None,
-                    [rows.mean(axis=-2)[..., None] for rows in g.fim_rows],
-                    cfg.gamma_m)
-                for f, m in zip(fim, mixed):
-                    f[pos] = m
+                for f, rows in zip(fresh, g.fim_rows):
+                    f[pos] = rows.mean(axis=-2)[..., None]
+            fim = fisher.momentum_update(fim, fresh, cfg.gamma_m)
         if epoch < cfg.warmup_epochs:
             for group in _step_groups(devices):
                 pos = group[0]
@@ -420,14 +419,6 @@ def adapter_store(devices):
     return devices[0].adapters.base
 
 
-def stack_local_adapters(devices, gal_layers):
-    """Every device's non-GAL adapters stacked along a leading device axis:
-    layer index -> (A (D, r, d_in), B (D, d_out, r)), views of one copy of
-    the devices' adapter rows."""
-    views = lora_views(devices[0].net, adapter_store(devices).copy())
-    return {li: pair for li, pair in views.items() if li not in gal_layers}
-
-
 @dataclass
 class EvalState:
     """What `evaluate` reads, kept across rounds.
@@ -438,8 +429,8 @@ class EvalState:
     sets (`pad_test_sets`, `tests`): `personal` under the live adapters,
     `server` under the post-init `snapshot`. `live` holds the non-GAL
     layers' (A (D, r, d_in), B (D, d_out, r)) stacks as views of the
-    adapter store (`adapter_store`), `snapshot` the same layers of the
-    post-init copy (`stack_local_adapters`)."""
+    adapter store (`adapter_store`), `snapshot` the same layers as views of
+    one copy of it, taken by `eval_state`."""
     net: object
     tests: tuple
     first: int
@@ -449,42 +440,40 @@ class EvalState:
     server: np.ndarray
 
 
-def eval_state(devices, gal_layers, snapshot):
-    """The `EvalState` of `devices` under GAL `gal_layers` and the server
-    view's `snapshot`: each view's stack entering the lowest GAL layer, run
-    through the layers below it once, over every device's test set."""
+def eval_state(devices, gal_layers):
+    """The `EvalState` of `devices` under GAL `gal_layers`, the server view
+    on a copy of the adapter store as it stands: each view's stack over
+    every device's test set, run once through the layers below the GAL."""
     net = devices[0].net
     tests = pad_test_sets(devices)
     first = min(gal_layers)
-    live = {li: pair
-            for li, pair in lora_views(net, adapter_store(devices)).items()
-            if li not in gal_layers}
+    store = adapter_store(devices)
+    live, snapshot = ({li: pair for li, pair in lora_views(net, flat).items()
+                       if li not in gal_layers}
+                      for flat in (store, store.copy()))
     return EvalState(net, tests, first, live, snapshot,
                      forward_layers(net, tests[0], range(first), live),
                      forward_layers(net, tests[0], range(first), snapshot))
 
 
-def refresh_rows(state, rows):
-    """Rerun the layers below `state.first` of the personalized view for
-    the devices at positions `rows`, whose adapters there changed."""
+def evaluate(server, state, rows):
+    """(personalized weighted accuracy, server-view weighted accuracy) of
+    the `EvalState` `state` once the devices at positions `rows` trained.
+
+    The personalized view first reruns the layers below `state.first` for
+    `rows` alone, as no other row of its kept stack changed. It runs each
+    device's network with the server's GAL parameters; the server view also
+    restores the non-GAL layers to the post-init snapshot. Each view runs
+    only the layers from `state.first` up, from its kept stack, as one pass
+    over every device at once, over the frozen base the devices share
+    (`build_devices`): the GAL adapters apply to all, the non-GAL ones are
+    stacked along the device axis. With every layer in the GAL the views
+    coincide and are computed once."""
     below = {li: (a[rows], b[rows])
              for li, (a, b) in state.live.items() if li < state.first}
     if below:
         state.personal[rows] = forward_layers(
             state.net, state.tests[0][rows], range(state.first), below)
-
-
-def evaluate(server, state):
-    """(personalized weighted accuracy, server-view weighted accuracy) of
-    the `EvalState` `state`.
-
-    The personalized view runs each device's network with the server's GAL
-    parameters; the server view also restores the non-GAL layers to the
-    post-init snapshot. Each view runs only the layers from `state.first`
-    up, from its kept stack, as one pass over every device at once, over
-    the frozen base the devices share (`build_devices`): the GAL adapters
-    apply to all, the non-GAL ones are stacked along the device axis. With
-    every layer in the GAL the views coincide and are computed once."""
     ys = state.tests[1]
     total = np.count_nonzero(ys >= 0)
     layers = range(state.first, len(state.net.layers))
@@ -504,11 +493,11 @@ def run(cfg):
     """Full experiment: `cfg.validate()`, which names the bad key before
     anything is built, then the init phase and `rounds` tuning rounds.
 
-    Right after the init phase, `eval_state` runs both evaluation views
-    through the layers below the lowest GAL layer, once. Each round then
-    trains the sampled devices, aggregates, reruns those layers for the
-    sampled devices' rows alone (`refresh_rows`), as no other row changed,
-    and calls `evaluate` once, from the lowest GAL layer up.
+    Right after the init phase, one `eval_state` call copies the adapter
+    store for the server view and runs both evaluation views through the
+    layers below the lowest GAL layer. Each round then trains the sampled
+    devices, aggregates and calls `evaluate` once with the sampled ids,
+    which reruns those layers for their rows alone.
 
     Returns (reports, summary, server, devices); the summary captures the
     layer selection, mask ratios, and parameter accounting.
@@ -516,9 +505,7 @@ def run(cfg):
     cfg.validate()
     devices = build_devices(cfg)
     server, devices = init_phase(devices, cfg)
-    evaluation = eval_state(
-        devices, server.gal.gal_layers,
-        stack_local_adapters(devices, server.gal.gal_layers))
+    evaluation = eval_state(devices, server.gal.gal_layers)
     payload = gal_payload_params(devices[0].net, server.gal.gal_layers)
 
     reports = []
@@ -530,8 +517,7 @@ def run(cfg):
                   for k in sampled]
         fedavg_gal(server, [devices[k] for k in sampled])
         down, up = comm_bytes(payload, len(sampled))
-        refresh_rows(evaluation, sampled)
-        acc, view = evaluate(server, evaluation)
+        acc, view = evaluate(server, evaluation, sampled)
         reports.append(RoundReport(
             round=t, sampled=sampled, train_loss=float(np.mean(losses)),
             weighted_test_acc=acc, server_view_acc=view,

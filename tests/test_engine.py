@@ -11,8 +11,7 @@ from fedlora import curriculum, engine, fisher
 from fedlora.engine import (DeviceState, ServerState, build_devices,
                             comm_bytes, eval_state, evaluate, fedavg_gal,
                             gal_payload_params, init_phase, local_round,
-                            make_batches, pad_test_sets, run, sample_devices,
-                            stack_local_adapters)
+                            make_batches, pad_test_sets, run, sample_devices)
 from fedlora.gal import GalDecision, eigengap_rank
 from fedlora.linalg import eigh_symmetric, make_rng
 from fedlora.network import (apply_update, backward, build_network,
@@ -812,25 +811,6 @@ def reference_fedavg(cfg):
     return trajectory
 
 
-class TestBaselineEquivalence:
-    def test_disabled_pipeline_equals_plain_fedavg_exactly(self):
-        cfg = small_cfg(mode="fedavg-lora", rounds=3)
-        want = reference_fedavg(cfg)
-
-        # replay the engine and capture the server state each round
-        devices = build_devices(cfg)
-        server, devices = init_phase(devices, cfg)
-        for t in range(cfg.rounds):
-            sampled = sample_devices(cfg.devices, cfg.sampled_per_round,
-                                     make_rng(cfg.seed, 0x5E, t))
-            for k in sampled:
-                local_round(devices[k], server.gal_params, t, cfg)
-            fedavg_gal(server, [devices[k] for k in sampled])
-            for li in server.gal_params:
-                assert np.array_equal(server.gal_params[li][0], want[t][li][0])
-                assert np.array_equal(server.gal_params[li][1], want[t][li][1])
-
-
 class TestRun:
     def test_zero_rounds_is_init_only(self):
         cfg = small_cfg(rounds=0, mode="fedavg-lora")
@@ -888,7 +868,7 @@ class TestRunContract:
 
     def test_hooks_are_called_as_the_benchmark_wraps_them(self, monkeypatch):
         cfg = small_cfg(rounds=3, lipschitz_points=8, hessian_samples=2)
-        calls = {"init": [], "local": [], "evaluate": 0}
+        calls = {"init": [], "local": [], "evaluate": []}
 
         def init_phase_hook(*args, **kwargs):
             out = init_phase(*args, **kwargs)
@@ -899,9 +879,9 @@ class TestRunContract:
             calls["local"].append((dev.k, t, gal_params, cfg))
             return local_round(dev, gal_params, t, cfg)
 
-        def evaluate_hook(*args, **kwargs):
-            calls["evaluate"] += 1
-            return evaluate(*args, **kwargs)
+        def evaluate_hook(server, state, rows):
+            calls["evaluate"].append(list(rows))
+            return evaluate(server, state, rows)
 
         monkeypatch.setattr(engine, "init_phase", init_phase_hook)
         monkeypatch.setattr(engine, "local_round", local_round_hook)
@@ -918,15 +898,17 @@ class TestRunContract:
         assert len(calls["local"]) == cfg.rounds * cfg.sampled_per_round
         assert all(c is cfg and set(p) == server.gal.gal_layers
                    for _, _, p, c in calls["local"])
-        assert calls["evaluate"] == cfg.rounds
+        # one call per round, on the ids that round sampled
+        assert calls["evaluate"] == [r.sampled for r in reports]
 
 
 def run_keeping_snapshot(cfg, monkeypatch):
-    """`run(cfg)`'s server and devices, and the server-view snapshot that
-    `run` passes to every `evaluate` call: one stack, of every device's
-    non-GAL adapters as `init_phase` returned them."""
+    """`run(cfg)`'s server and devices, and the `EvalState` that `run`
+    passes to every `evaluate` call, whose server-view snapshot is one
+    stack of every device's non-GAL adapters as `init_phase` returned
+    them."""
     post_init = {}
-    snapshots = []
+    states = []
 
     def init_hook(*args):
         server, devices = init_phase(*args)
@@ -936,23 +918,24 @@ def run_keeping_snapshot(cfg, monkeypatch):
                               dev.net.layers[li].b.copy()) for dev in devices]
         return server, devices
 
-    def evaluate_hook(server, state):
-        snapshots.append(state.snapshot)
-        return evaluate(server, state)
+    def evaluate_hook(server, state, rows):
+        states.append(state)
+        return evaluate(server, state, rows)
 
     monkeypatch.setattr(engine, "init_phase", init_hook)
     monkeypatch.setattr(engine, "evaluate", evaluate_hook)
     _, _, server, devices = run(cfg)
     monkeypatch.setattr(engine, "init_phase", init_phase)
     monkeypatch.setattr(engine, "evaluate", evaluate)
-    assert len(snapshots) == cfg.rounds
-    assert all(snap is snapshots[0] for snap in snapshots)
-    assert set(snapshots[0]) == set(post_init)
+    assert len(states) == cfg.rounds
+    assert all(state is states[0] for state in states)
+    snapshot = states[0].snapshot
+    assert set(snapshot) == set(post_init)
     for li, pairs in post_init.items():
         for i, (a, b) in enumerate(pairs):
-            assert np.array_equal(snapshots[0][li][0][i], a)
-            assert np.array_equal(snapshots[0][li][1][i], b)
-    return server, devices, snapshots[0]
+            assert np.array_equal(snapshot[li][0][i], a)
+            assert np.array_equal(snapshot[li][1][i], b)
+    return server, devices, states[0]
 
 
 def per_device_accuracy(server, devices, snapshot):
@@ -970,29 +953,27 @@ def per_device_accuracy(server, devices, snapshot):
     return hits[0] / total, hits[1] / total
 
 
-def randomize_adapters(server, devices, snapshot, rng):
-    """Large random adapters, different per device and between the live
-    and snapshot copies, so that each device's predictions depend on which
-    adapter meets which test rows."""
+def randomize_adapters(server, devices, rng):
+    """Large random GAL parameters and non-GAL adapters, different per
+    device, so that each device's predictions depend on which adapter
+    meets which test rows."""
     for li, (a, b) in server.gal_params.items():
         server.gal_params[li] = (rng.normal(size=a.shape),
                                  rng.normal(size=b.shape))
-    for li, (a, b) in snapshot.items():
-        for dev in devices:  # in place: the layers view the adapter rows
-            layer = dev.net.layers[li]
-            layer.a[...] = rng.normal(size=layer.a.shape)
-            layer.b[...] = rng.normal(size=layer.b.shape)
-        snapshot[li] = (rng.normal(size=a.shape), rng.normal(size=b.shape))
+    for dev in devices:  # in place: the layers view the adapter rows
+        for li, layer in enumerate(dev.net.layers):
+            if li not in server.gal_params:
+                layer.a[...] = rng.normal(size=layer.a.shape)
+                layer.b[...] = rng.normal(size=layer.b.shape)
 
 
 class TestEvaluate:
     def test_personalized_view_uses_global_gal_overlay(self):
         cfg = small_cfg(mode="fedavg-lora", rounds=1)
         _, _, server, devices = run(cfg)
-        snapshot = stack_local_adapters(devices, server.gal.gal_layers)
-        assert snapshot == {}
-        acc, view = evaluate(
-            server, eval_state(devices, server.gal.gal_layers, snapshot))
+        state = eval_state(devices, server.gal.gal_layers)
+        assert state.snapshot == {}
+        acc, view = evaluate(server, state, range(len(devices)))
         assert 0.0 <= acc <= 1.0
         # with every layer global and local snapshots absent, both views agree
         assert acc == view
@@ -1000,43 +981,45 @@ class TestEvaluate:
     def test_sparse_views_equal_a_per_device_loop(self, monkeypatch):
         cfg = small_cfg(mu=0.5, lipschitz_points=8, hessian_samples=2,
                         lr=0.03)
-        server, devices, snapshot = run_keeping_snapshot(cfg, monkeypatch)
+        server, devices, state = run_keeping_snapshot(cfg, monkeypatch)
         # the case the stack must handle: a strict-subset GAL, partial masks,
         # unequal test-set sizes (so padded rows) and views that differ
         assert server.gal.gal_layers == {2}
         assert any(m is not None and not m.all()
                    for dev in devices for m in dev.mask.per_layer)
         assert len({len(dev.test) for dev in devices}) > 1
-        state = eval_state(devices, server.gal.gal_layers, snapshot)
-        want = per_device_accuracy(server, devices, snapshot)
+        everyone = range(len(devices))
+        want = per_device_accuracy(server, devices, state.snapshot)
         assert want[0] != want[1]
-        assert evaluate(server, state) == want
+        assert evaluate(server, state, everyone) == want
         rng = make_rng(7)
         for _ in range(5):
-            randomize_adapters(server, devices, snapshot, rng)
-            state = eval_state(devices, server.gal.gal_layers, snapshot)
-            assert evaluate(server, state) == \
-                per_device_accuracy(server, devices, snapshot)
+            # the snapshot keeps the first draw, the live rows the second
+            randomize_adapters(server, devices, rng)
+            state = eval_state(devices, server.gal.gal_layers)
+            randomize_adapters(server, devices, rng)
+            assert evaluate(server, state, everyone) == \
+                per_device_accuracy(server, devices, state.snapshot)
 
     def test_full_sync_computes_one_view(self, monkeypatch):
         cfg = small_cfg(mode="full-sync", lipschitz_points=8,
                         hessian_samples=2)
-        server, devices, snapshot = run_keeping_snapshot(cfg, monkeypatch)
+        server, devices, state = run_keeping_snapshot(cfg, monkeypatch)
         assert server.gal.gal_layers == {0, 1, 2}
-        assert snapshot == {}
+        assert state.snapshot == {}
         forwards = []
 
         def counted(*args, **kwargs):
             forwards.append(args[1].shape)
             return forward_layers(*args, **kwargs)
 
-        state = eval_state(devices, server.gal.gal_layers, snapshot)
+        state = eval_state(devices, server.gal.gal_layers)
         monkeypatch.setattr(engine, "forward_layers", counted)
         tests = pad_test_sets(devices)
-        acc, view = evaluate(server, state)
+        acc, view = evaluate(server, state, range(len(devices)))
         assert forwards == [tests[0].shape]
         assert acc == view
-        assert acc == per_device_accuracy(server, devices, snapshot)[0]
+        assert acc == per_device_accuracy(server, devices, state.snapshot)[0]
 
     def test_padded_rows_match_no_label(self):
         cfg = small_cfg(mu=0.5)
@@ -1083,9 +1066,9 @@ class TestEvalCache:
             built.append(init_phase(*args))
             return built[-1]
 
-        def evaluate_hook(server, state):
+        def evaluate_hook(server, state, rows):
             [(_, devices)] = built
-            got = evaluate(server, state)
+            got = evaluate(server, state, rows)
             seen.append(got)
             assert got == per_device_accuracy(server, devices, state.snapshot)
             # the kept stacks equal a fresh pass below the GAL, bitwise
