@@ -123,8 +123,8 @@ class ExperimentConfig:
         return self.mode not in ("full-sync", "fedavg-lora")
 
     @property
-    def mask_on(self):
-        return self.mode not in ("no-mask", "fedavg-lora")
+    def mask_on(self):  # with the GAL off every layer is global: no mask
+        return self.gal_on and self.mode != "no-mask"
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}

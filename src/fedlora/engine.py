@@ -167,10 +167,9 @@ def _lockstep_passes(devices, cfg):
     it has no batch j). The steps write the store's rows in place: a step's
     groups hold distinct devices, and the noise probes run before any step.
     Each momentum epoch refills one (D, d_out, 1) row-sum stack per layer
-    and mixes it in by one `fisher.momentum_update`. Returns the momentum
-    FIM, stacks of that shape, and the layer scores (D, L), None with the
-    GAL off. `init_phase` runs these passes only with the GAL or the masks
-    on: no mode has the curriculum on with both off.
+    and mixes it in by one `fisher.momentum_update`. Only the masks read the
+    momentum FIM, so without them only its first epoch runs. Returns it, a
+    list of such stacks, and the layer scores (D, L), None with the GAL off.
 
     Each epoch runs every group of its passes before it raises: the error
     names the first epoch in which a device failed and the lowest failing
@@ -190,9 +189,10 @@ def _lockstep_passes(devices, cfg):
             scores[pos] = gal_mod.device_layer_scores(
                 net, xs, ys, cfg.noise_budget, cfg.p_norm)
 
-    for epoch in range(max(cfg.warmup_epochs, cfg.momentum_epochs)):
+    window = cfg.momentum_epochs if cfg.mask_on else 1
+    for epoch in range(max(cfg.warmup_epochs, window)):
         failed = []
-        if epoch < cfg.momentum_epochs:
+        if epoch < window:
             for group in whole:
                 pos = group[0]
                 g, bad = _stacked_backward(net, group, flat[pos])
@@ -227,7 +227,7 @@ def _lockstep_passes(devices, cfg):
 
 def device_init_analysis(dev, cfg, p0):
     """The Hessian/Lipschitz eigengap analysis of one post-warmup device;
-    returns ((r, R), per-layer-block (r, R)).
+    returns ((r, R), per-layer-block (r, R), empty with the masks off).
 
     Computes the whole-model finite-difference Hessian at the device's
     adapters and the Lipschitz constant of the lossless-rule base function
@@ -251,7 +251,7 @@ def device_init_analysis(dev, cfg, p0):
             cfg.lipschitz_points, make_rng(cfg.seed, 0x11, dev.k))
     return _spectrum_rank(hessian, lip), [
         _spectrum_rank(hessian[sa.start:sb.stop, sa.start:sb.stop], lip)
-        for sa, sb in lora_slices(dev.net)]
+        for sa, sb in (lora_slices(dev.net) if cfg.mask_on else ())]
 
 
 def init_phase(devices, cfg):
@@ -260,17 +260,17 @@ def init_phase(devices, cfg):
     initial server-side GAL parameters.
 
     The scoring, noise-probe, momentum and warmup passes run for every
-    device at once (`_lockstep_passes`); only the Hessian analysis runs per
-    device. Both take the devices as `build_devices` makes them: each with
-    at least one training row, all starting from the same adapters."""
+    device at once (`_lockstep_passes`), in every mode but `fedavg-lora`;
+    the Hessian analysis runs per device, with the GAL on. Both take the
+    devices as `build_devices` makes them: each with at least one training
+    row, all starting from the same adapters."""
     num_layers = len(devices[0].net.layers)
-    need_analysis = cfg.gal_on or cfg.mask_on
     p0 = devices[0].adapters.copy()
-    if need_analysis:
+    if cfg.curriculum_on or cfg.gal_on:
         fim, scores = _lockstep_passes(devices, cfg)
     # device id -> ((r, R), per-block (r, R))
     analysis = {dev.k: device_init_analysis(dev, cfg, p0)
-                for dev in (devices if need_analysis else ())}
+                for dev in (devices if cfg.gal_on else ())}
 
     if cfg.gal_on:
         global_scores = gal_mod.aggregate_layer_scores(

@@ -116,32 +116,42 @@ def layer_mean(devices, layers):
     return mean
 
 
+# The init phase's passes by mode, spelled out rather than read from the
+# config's flags: every mode but the baseline warms up; the GAL modes run the
+# noise probes and the Hessian analysis; only the modes that can build a mask
+# (GAL on, masks on) run the momentum epochs after the first and the layer
+# block spectra, which only the masks read.
+WARMED = ("fibecfed", "no-curriculum", "full-sync", "no-mask")
+ANALYSED = ("fibecfed", "no-curriculum", "no-mask")
+MASKED = ("fibecfed", "no-curriculum")
+
+
 def per_device_init_phase(devices, cfg):
     """`engine.init_phase` as one loop over the devices: each device's Fisher
     scoring, noise probes, momentum-FIM and warmup epochs and Hessian
-    analysis run before the next device starts. The engine runs the
-    device-independent passes stacked over every device; this loop is the
-    reference it must equal bitwise."""
+    analysis run before the next device starts, each where `WARMED`,
+    `ANALYSED` and `MASKED` say. The engine runs the device-independent
+    passes stacked over every device; this loop is the reference it must
+    equal bitwise."""
     for dev in devices:
         if dev.n_k == 0:
             raise ValueError(f"device {dev.k} has no local data")
 
     num_layers = len(devices[0].net.layers)
-    need_analysis = cfg.gal_on or cfg.mask_on
     layer_scores = []
     analysis = {}
-    for dev in devices if cfg.curriculum_on or need_analysis else []:
+    for dev in devices if cfg.mode in WARMED else []:
         fim_rows = checked_backward(dev, np.arange(dev.n_k),
                                     "warmup epoch 0").fim_rows
         if cfg.curriculum_on:
             difficulty = sum(rows.sum(axis=1) for rows in fim_rows)
             dev.batch_order = curriculum.sort_batches(
                 [float(sum(difficulty[idx])) for idx in dev.batches])
-        if need_analysis:
+        if cfg.mode in ANALYSED:
             layer_scores.append((dev.n_k, gal.device_layer_scores(
                 dev.net, dev.train.features, dev.train.labels,
                 cfg.noise_budget, cfg.p_norm)))
-            analysis[dev.k] = _device_init_analysis(dev, cfg, fim_rows)
+        analysis[dev.k] = _device_init_analysis(dev, cfg, fim_rows)
 
     if cfg.gal_on:
         global_scores = gal.aggregate_layer_scores(layer_scores)
@@ -155,12 +165,13 @@ def per_device_init_phase(devices, cfg):
 
     decision = gal.GalDecision(
         gal_layers=gal_layers, n_star=n_star,
-        per_device={k: list(ranks) for k, (_, ranks, _) in analysis.items()},
+        per_device={k: list(ranks) for k, (_, ranks, _) in analysis.items()
+                    if ranks is not None},
         global_scores=list(map(float, global_scores)))
 
     for dev in devices:
         per_layer = [None] * num_layers
-        if cfg.mask_on:
+        if cfg.mode in MASKED:
             fim, _, blocks = analysis[dev.k]
             for li in range(num_layers):
                 if li not in gal_layers:
@@ -175,12 +186,16 @@ def per_device_init_phase(devices, cfg):
 
 def _device_init_analysis(dev, cfg, fim_rows):
     """One device's momentum-FIM and warmup epochs, then its Hessian
-    analysis; returns (momentum FIM, (r, R), per-layer-block (r, R))."""
+    analysis; returns (momentum FIM, (r, R), per-layer-block (r, R)). Out of
+    `MASKED` the momentum window is one epoch and the blocks are None; out
+    of `ANALYSED` the ranks are None too."""
+    masked = cfg.mode in MASKED
     p0 = flatten_lora(dev.net)
     fim = None
-    for epoch in range(max(cfg.warmup_epochs, cfg.momentum_epochs)):
+    window = cfg.momentum_epochs if masked else 1
+    for epoch in range(max(cfg.warmup_epochs, window)):
         phase = f"warmup epoch {epoch}"
-        if epoch < cfg.momentum_epochs:
+        if epoch < window:
             if epoch > 0:
                 fim_rows = checked_backward(dev, np.arange(dev.n_k),
                                             phase).fim_rows
@@ -190,6 +205,8 @@ def _device_init_analysis(dev, cfg, fim_rows):
         if epoch < cfg.warmup_epochs:
             reference_epoch(dev, cfg, range(len(dev.batches)), phase)
 
+    if cfg.mode not in ANALYSED:
+        return fim, None, None
     p_t = flatten_lora(dev.net)
     sub = min(cfg.hessian_samples, dev.n_k)
     grad_fn = partial(dataset_loss_grad_flat, dev.net,
@@ -206,7 +223,7 @@ def _device_init_analysis(dev, cfg, fim_rows):
     return fim, engine._spectrum_rank(hessian, lip), [
         engine._spectrum_rank(hessian[sa.start:sb.stop, sa.start:sb.stop],
                               lip)
-        for sa, sb in lora_slices(dev.net)]
+        for sa, sb in lora_slices(dev.net)] if masked else None
 
 
 def loop_dirichlet_partition(ds, num_devices, concentration, min_shard, seed):

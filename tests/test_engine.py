@@ -283,11 +283,12 @@ class TestInitPhase:
     @pytest.mark.parametrize("mode", MODES)
     def test_lockstep_passes_run_once_exactly_with_the_gal_or_masks_on(
             self, mode, monkeypatch):
-        # the curriculum's scoring pass runs only inside the lockstep passes,
-        # and those run only for the GAL or the masks: a mode with the
-        # curriculum alone would silently train without a batch order
+        # the curriculum's scoring pass and the warmup run only inside the
+        # lockstep passes, and those run for the curriculum or the GAL, in
+        # every mode but fedavg-lora: full-sync, with the curriculum alone,
+        # must not train without a batch order or skip the warmup
         cfg = small_cfg(mode=mode)
-        assert not cfg.curriculum_on or cfg.gal_on or cfg.mask_on
+        assert (cfg.curriculum_on or cfg.gal_on) == (mode != "fedavg-lora")
         real = engine._lockstep_passes
         calls = []
 
@@ -297,7 +298,46 @@ class TestInitPhase:
 
         monkeypatch.setattr(engine, "_lockstep_passes", counting)
         init_phase(build_devices(cfg), cfg)
-        assert len(calls) == (1 if cfg.gal_on or cfg.mask_on else 0)
+        assert len(calls) == (0 if cfg.mode == "fedavg-lora" else 1)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_mode_runs_only_the_passes_its_outputs_read(self, mode,
+                                                             monkeypatch):
+        # the Hessian analysis feeds the GAL count and the masks; its block
+        # spectra and the momentum epochs after the first feed only the
+        # masks, which exist only with the GAL and the masks on; the warmup
+        # runs in every mode but the baseline
+        analysed = mode in ("fibecfed", "no-curriculum", "no-mask")
+        masked = mode in ("fibecfed", "no-curriculum")
+        cfg = small_cfg(mode=mode, lipschitz_points=8, hessian_samples=2)
+        assert cfg.momentum_epochs > 1
+        calls = collections.Counter()
+        spectra = []  # per device analysed: its `_spectrum_rank` calls
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counting(*args):
+                calls[name] += 1
+                if name == "device_init_analysis":
+                    spectra.append(0)
+                elif name == "_spectrum_rank":
+                    spectra[-1] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, counting)
+
+        for name in ("_lockstep_passes", "device_init_analysis",
+                     "_spectrum_rank"):
+            count(engine, name)
+        count(fisher, "momentum_update")
+        devices = build_devices(cfg)
+        init_phase(devices, cfg)
+        layers = len(devices[0].net.layers)
+        assert calls["_lockstep_passes"] == (mode != "fedavg-lora")
+        assert spectra == [1 + layers if masked else 1] * \
+            (cfg.devices if analysed else 0)
+        assert calls["momentum_update"] == (
+            cfg.momentum_epochs if masked else mode != "fedavg-lora")
 
     def test_baseline_mode_skips_analysis_and_masks(self, monkeypatch):
         cfg = small_cfg(mode="fedavg-lora")

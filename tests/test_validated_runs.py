@@ -8,7 +8,9 @@ line) of a non-finite loss, gradient, layer score or Lipschitz estimate.
 Nothing else may escape. A completed run must also have built what
 `network` takes unchecked: layers whose shapes chain from the config's
 dims, adapter rows of the adapter count, one mask entry per layer of its
-layer's width, and server GAL parameters of their layers' shapes.
+layer's width, and server GAL parameters of their layers' shapes. It must
+also have run only what its mode reads: per-device ranks exactly when the
+GAL is on, and no mask unless the masks are on.
 
 Only the sizes are capped, so that a run takes milliseconds: devices,
 rounds, widths, samples per class, epochs, Hessian samples and Lipschitz
@@ -138,3 +140,7 @@ def test_validated_configs_run_or_fail_on_a_non_finite_value(values):
     if ended == "ran":
         _, _, server, devices = result
         assert_built_shapes(values, server, devices)
+        cfg = ExperimentConfig(**values)
+        assert (server.gal.per_device == {}) == (not cfg.gal_on)
+        assert cfg.mask_on or all(m is None for dev in devices
+                                  for m in dev.mask.per_layer)
